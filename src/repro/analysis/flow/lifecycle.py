@@ -1,32 +1,39 @@
 """SPC102/SPC103 — lifecycle pairing as a CFG path property.
 
-SPC003 pairs begins with ends *lexically*: an end anywhere after the
-begin, or in any ``finally``, satisfies it.  The shape it structurally
-cannot see is the mid-operation failure: a span is opened, the function
-``yield``s on a simulated event, the event fails, and the exception
-edge leaves the function with the span still open.  In this codebase
-that is not a corner case — it is the *normal* failure mode (every
-``yield from self.network.transfer(...)`` is a potential abort) — so
-these passes re-check the same invariants as reachability over the
-:mod:`.cfg` exception-edge CFG:
+Spectra's demand observation rests on pairing: every monitor recording
+started (``monitors.start_all(recording)``) and every telemetry span
+opened (``tracer.start_span(...)`` / ``span.child(...)``) must be closed
+on every way out of the function, or the next operation is forever
+marked concurrent and the trace carries a phantom open interval.  The
+normal failure mode is the mid-operation one — a span is opened, the
+function ``yield``s on a simulated event, the event fails, and the
+exception edge leaves the function — so pairing is checked as
+reachability over the :mod:`.cfg` exception-edge CFG:
 
-* **SPC102** — a span begun (``start_span``/``child``/``span``) or a
-  monitor recording started (``start_all``) must be closed on every
+* **SPC102** — a span bound to a local name, or a monitor recording
+  started on one, must be closed (``.end()`` / ``stop_all``) on every
   path from the begin to any function exit, exception edges included.
+  A begin with no close at all is the degenerate case: every path
+  leaks.  A span whose result is dropped outright (not bound, chained
+  ``.end()`` or used in ``with``) can never be closed and is reported
+  as such.
 * **SPC103** — receiver-paired resource verbs (``acquire``/``release``,
   ``apply``/``revert``) must close on every path.  Pairs whose close
   half lives in another function (cross-function protocols like the
   fault journal's scenario-scoped revert) are skipped, not guessed at.
 
-Both reuse SPC003's escape analysis: an object that leaves the function
-(returned, stored on ``self``, passed to a callee) is somebody else's
-responsibility.  Findings report the *witness line* — the statement on
-the offending path where the un-closed exit happens.
+Both rules share one escape scan: an object that leaves the function
+(returned, yielded, stored on an attribute or container, passed to a
+callee) is somebody else's responsibility, and a begin used as a
+``with`` context is paired by construction.  Findings report the
+*witness line* — the statement on the offending path where the
+un-closed exit happens.
 """
 
 from __future__ import annotations
 
 import ast
+from dataclasses import replace
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core import (
@@ -37,7 +44,6 @@ from ..core import (
     register_rule,
     resolve_call_path,
 )
-from ..rules.lifecycle import SPAN_BEGINS, _FunctionScan
 from .cfg import EXIT_RAISE, CFG, _own_expressions, build_cfg
 from .project import FunctionInfo, ProjectIndex
 
@@ -50,6 +56,109 @@ RESOURCE_PAIRS: Dict[str, Tuple[str, ...]] = {
 #: Open verbs that are flagged even with no close call in the function
 #: (strict same-scope protocols); others are assumed cross-function.
 STRICT_OPENS = frozenset({"acquire"})
+
+#: Begin methods whose call result is the span to be ended.
+SPAN_BEGINS = frozenset({"start_span", "child", "span"})
+
+_NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                  ast.Lambda)
+
+
+def _call_attr(node: ast.Call) -> Optional[str]:
+    if isinstance(node.func, ast.Attribute):
+        return node.func.attr
+    return None
+
+
+class _FunctionScan:
+    """One pass over a function body collecting the lifecycle facts the
+    path rules read.  Nested function/class bodies are separate scopes
+    and are not scanned."""
+
+    def __init__(self, func: ast.AST):
+        #: (name, call) of span begins assigned to a simple name
+        self.begins: List[Tuple[str, ast.Call]] = []
+        #: span begins used as bare expression statements (result dropped)
+        self.dropped: List[ast.Call] = []
+        #: start_all calls: (first-arg-name-or-None, call)
+        self.start_alls: List[Tuple[Optional[str], ast.Call]] = []
+        self.has_stop_all = False
+        #: names that leave the function (caller takes ownership)
+        self.escaped: Set[str] = set()
+        #: names used directly as `with <name>:` items
+        self.with_managed: Set[str] = set()
+        #: calls paired by construction: `with <call>:` items and the
+        #: receivers of a chained `<call>.end()`
+        self.with_calls: Set[ast.Call] = set()
+        self._walk(func)
+
+    def _walk(self, node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _NESTED_SCOPES):
+                continue
+            self._visit(child)
+            self._walk(child)
+
+    def _visit(self, node: ast.AST) -> None:
+        if isinstance(node, ast.Return) and node.value is not None:
+            self._mark_escapes(node.value)
+        elif isinstance(node, (ast.Yield, ast.YieldFrom)) and node.value:
+            self._mark_escapes(node.value)
+        elif isinstance(node, ast.Assign):
+            self._note_assign(node)
+        elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+            if _call_attr(node.value) in SPAN_BEGINS:
+                self.dropped.append(node.value)
+        elif isinstance(node, ast.Call):
+            self._note_call(node)
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                expr = item.context_expr
+                if isinstance(expr, ast.Call):
+                    self.with_calls.add(expr)
+                elif isinstance(expr, ast.Name):
+                    self.with_managed.add(expr.id)
+
+    def _note_assign(self, node: ast.Assign) -> None:
+        # Storing onto an attribute/container (self.x = span,
+        # spans[k] = span) hands ownership elsewhere.
+        if any(isinstance(t, (ast.Attribute, ast.Subscript))
+               for t in node.targets):
+            self._mark_escapes(node.value)
+        if (isinstance(node.value, ast.Call)
+                and _call_attr(node.value) in SPAN_BEGINS):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    self.begins.append((target.id, node.value))
+
+    def _note_call(self, call: ast.Call) -> None:
+        attr = _call_attr(call)
+        if attr == "start_all":
+            arg = call.args[0] if call.args else None
+            name = arg.id if isinstance(arg, ast.Name) else None
+            self.start_alls.append((name, call))
+            return
+        if attr == "stop_all":
+            self.has_stop_all = True
+            return
+        if attr == "end" and isinstance(call.func.value, ast.Call):
+            # chained `tracer.start_span(...).end()`
+            self.with_calls.add(call.func.value)
+        # A name passed into any other call escapes: the callee may own
+        # the end (e.g. _trace_decision).
+        for arg in list(call.args) + [kw.value for kw in call.keywords]:
+            self._mark_escapes(arg)
+
+    def _mark_escapes(self, node: ast.AST) -> None:
+        if isinstance(node, ast.Name):
+            self.escaped.add(node.id)
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            for element in node.elts:
+                self._mark_escapes(element)
+        elif isinstance(node, ast.Dict):
+            for value in node.values:
+                if value is not None:
+                    self._mark_escapes(value)
 
 
 def _stmt_id(cfg: CFG, source: SourceFile,
@@ -70,8 +179,7 @@ def _attr_calls(func: ast.AST) -> Iterator[Tuple[str, str, ast.Call]]:
     stack: List[ast.AST] = list(ast.iter_child_nodes(func))
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef, ast.Lambda)):
+        if isinstance(node, _NESTED_SCOPES):
             continue
         if isinstance(node, ast.Call) and isinstance(node.func,
                                                      ast.Attribute):
@@ -183,6 +291,18 @@ def _closes_pair(receiver: str,
     return check
 
 
+def _with_nested(fn: FunctionInfo) -> Iterator[FunctionInfo]:
+    """*fn* and every def nested in its body.  The index folds nested
+    bodies into the enclosing function; for pairing each def is a scope
+    of its own, reported under a ``<locals>`` qname."""
+    yield fn
+    for node in ast.walk(fn.node):
+        if node is not fn.node and isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield replace(fn, qname=f"{fn.qname}.<locals>.{node.name}",
+                          name=node.name, node=node)
+
+
 class _FlowLifecycleBase(ProjectRule):
     """Common iteration: scoped index functions -> per-function check."""
 
@@ -198,13 +318,14 @@ class _FlowLifecycleBase(ProjectRule):
             fn = index.functions[qname]
             if not self.in_scope(fn.source, config):
                 continue
-            # A def indexed under two qnames (first-wins collisions)
-            # still only gets checked once per AST node.
-            key = f"{fn.source.path}:{getattr(fn.node, 'lineno', 0)}"
-            if key in checked:
-                continue
-            checked.add(key)
-            yield from self.check_function(fn, index, raising)
+            for target in _with_nested(fn):
+                # A def indexed under two qnames (first-wins collisions)
+                # still only gets checked once per AST node.
+                key = f"{fn.source.path}:{target.node.lineno}"
+                if key in checked:
+                    continue
+                checked.add(key)
+                yield from self.check_function(target, index, raising)
 
     def check_function(self, fn: FunctionInfo, index: ProjectIndex,
                        raising: bool) -> Iterator[Violation]:
@@ -221,17 +342,25 @@ class SpanPathRule(_FlowLifecycleBase):
     def check_function(self, fn: FunctionInfo, index: ProjectIndex,
                        raising: bool) -> Iterator[Violation]:
         scan = _FunctionScan(fn.node)
+        for call in scan.dropped:
+            yield self.violation(
+                fn.source, call,
+                f"span from .{_call_attr(call)}(...) in {fn.qname} is "
+                f"dropped without .end() — bind it, chain .end(), or use "
+                f"`with`",
+            )
         span_work = [
-            (name, call) for name, _line, call in scan.begins
+            (name, call) for name, call in scan.begins
             if call not in scan.with_calls
             and name not in scan.with_managed
             and name not in scan.escaped
-            and scan.end_calls.get(name)     # never-ended: SPC003's finding
         ]
+        # With no stop_all anywhere, only a recording held in a local
+        # that stays here is this function's to stop.
         monitor_work = [
             call for arg_name, call in scan.start_alls
-            if scan.stop_alls
-            and (arg_name is None or arg_name not in scan.escaped)
+            if arg_name not in scan.escaped
+            and (scan.has_stop_all or arg_name is not None)
         ]
         if not span_work and not monitor_work:
             return

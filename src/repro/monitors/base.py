@@ -148,8 +148,3 @@ class MonitorSet:
     def stop_all(self, recording: OperationRecording) -> None:
         for monitor in self._monitors:
             monitor.stop_op(recording)
-
-    def add_usage_all(self, recording: OperationRecording,
-                      report: Dict[str, float]) -> None:
-        for monitor in self._monitors:
-            monitor.add_usage(recording, report)

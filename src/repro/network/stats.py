@@ -45,10 +45,6 @@ class TransferRecord:
 class TransferLog:
     """Bounded in-memory log of :class:`TransferRecord` entries."""
 
-    #: Threshold separating "short" RTT-revealing exchanges from "bulk"
-    #: throughput-revealing transfers, in bytes.
-    SHORT_THRESHOLD = 1024
-
     def __init__(self, max_records: int = 10_000):
         self.max_records = max_records
         self._records: List[TransferRecord] = []
@@ -82,17 +78,3 @@ class TransferLog:
                     continue
             out.append(rec)
         return out
-
-    def recent_short(self, since: float,
-                     endpoint: Optional[Tuple[str, str]] = None
-                     ) -> List[TransferRecord]:
-        """Recent short exchanges (<= SHORT_THRESHOLD bytes) — RTT evidence."""
-        return [r for r in self.recent(since, endpoint)
-                if r.nbytes <= self.SHORT_THRESHOLD or r.kind == "rpc"]
-
-    def recent_bulk(self, since: float,
-                    endpoint: Optional[Tuple[str, str]] = None
-                    ) -> List[TransferRecord]:
-        """Recent bulk transfers (> SHORT_THRESHOLD bytes) — throughput evidence."""
-        return [r for r in self.recent(since, endpoint)
-                if r.nbytes > self.SHORT_THRESHOLD and r.kind != "rpc"]

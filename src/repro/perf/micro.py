@@ -1,4 +1,4 @@
-"""Microbenchmarks for the decision hot path and the sim kernel.
+"""Microbenchmarks for the decision hot path.
 
 Four phases dominate where the reproduction actually spends host CPU:
 
@@ -11,7 +11,9 @@ Four phases dominate where the reproduction actually spends host CPU:
                    diagnostics always materialized) and once as the
                    cached hot path runs it — so ``BENCH_decision.json``
                    carries both numbers and their ratio.
-``kernel_events``  raw event throughput of the discrete-event kernel
+
+Raw kernel event throughput is the kernel suite's ``event_throughput``
+(:mod:`repro.perf.kernel`).
 
 Everything runs on a trained Pangloss-Lite testbed: with ~100
 alternatives per decision it is the paper's own worst case ("Overhead is
@@ -35,7 +37,6 @@ from ..apps import (
 from ..core.client import RegisteredOperation, SpectraClient
 from ..core.estimate import DemandEstimator
 from ..core.utility import DefaultUtility
-from ..sim import Simulator, Timeout
 from ..solver import HeuristicSolver, SearchSpace
 from ..testbeds import ThinkpadTestbed
 from .timing import Measurement, measure
@@ -191,37 +192,6 @@ def bench_decision(client: SpectraClient,
     }
 
 
-#: callbacks per timed kernel-throughput run
-KERNEL_EVENTS = 20_000
-
-
-def bench_kernel_events(*, number: int, repeats: int) -> Measurement:
-    """Per-event cost of the kernel's inlined run loop.
-
-    A fresh simulator drains :data:`KERNEL_EVENTS` timeout events per
-    call; the reported figure is seconds **per event**, so multiplying
-    by a scenario's event count estimates its kernel floor.
-    """
-    def drain():
-        sim = Simulator()
-
-        def ticker():
-            for _ in range(KERNEL_EVENTS):
-                yield Timeout(0.001)
-
-        sim.run_process(ticker())
-
-    result = measure("kernel_events", drain, number=number, repeats=repeats)
-    return Measurement(
-        name="kernel_events",
-        number=result.number * KERNEL_EVENTS,
-        repeats=result.repeats,
-        best_s=result.best_s / KERNEL_EVENTS,
-        mean_s=result.mean_s / KERNEL_EVENTS,
-        worst_s=result.worst_s / KERNEL_EVENTS,
-    )
-
-
 def run_micro_suite(quick: bool = True) -> Dict[str, object]:
     """All decision-path microbenchmarks; the ``BENCH_decision`` payload."""
     number, repeats = (3, 3) if quick else (10, 5)
@@ -237,7 +207,5 @@ def run_micro_suite(quick: bool = True) -> Dict[str, object]:
             client, registered, number=number, repeats=repeats).to_dict(),
         "decision": bench_decision(
             client, registered, number=number, repeats=repeats),
-        "kernel_events": bench_kernel_events(
-            number=1, repeats=repeats).to_dict(),
     }
     return benchmarks

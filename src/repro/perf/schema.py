@@ -25,8 +25,7 @@ SCHEMA = "spectra-bench/1"
 MEASUREMENT_KEYS = ("number", "repeats", "best_s", "mean_s", "worst_s")
 
 #: microbenchmark names BENCH_decision must contain
-DECISION_BENCHMARKS = ("snapshot", "predict", "solve", "decision",
-                       "kernel_events")
+DECISION_BENCHMARKS = ("snapshot", "predict", "solve", "decision")
 
 #: per-scenario keys BENCH_scenarios must carry
 SCENARIO_KEYS = ("profile", "repeats", "wall_s", "ops", "completed",

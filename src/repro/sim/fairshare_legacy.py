@@ -139,10 +139,6 @@ class LegacyFairShareResource:
         total_weight = sum(j.weight for j in self._jobs) + weight
         return self._capacity * weight / total_weight
 
-    def remaining_of(self, job: FairShareJob) -> float:
-        """Remaining work of an active job as of the last settle."""
-        return self._remaining.get(id(job), 0.0)
-
     def _job_remaining(self, job: FairShareJob) -> float:
         """`FairShareJob.remaining` backend while the job is in service."""
         return self._remaining[id(job)]

@@ -91,9 +91,6 @@ class ItsyTestbed:
         """The CPU scenario: CPU-intensive background job on the Itsy."""
         self.itsy.host.start_background_load(nprocesses)
 
-    def unload_client_cpu(self) -> None:
-        self.itsy.host.stop_background_load()
-
     def partition_spectra_server(self) -> None:
         """The file-cache scenario's partition: Spectra daemon down,
         file servers still reachable."""
@@ -165,10 +162,6 @@ class ThinkpadTestbed:
         """The Pangloss CPU scenario: load a server with competing work."""
         node = {"server-a": self.server_a, "server-b": self.server_b}[server]
         node.host.start_background_load(nprocesses)
-
-    def unload_server_cpu(self, server: str) -> None:
-        node = {"server-a": self.server_a, "server-b": self.server_b}[server]
-        node.host.stop_background_load()
 
     def set_energy_importance(self, c: float) -> None:
         self.client.host.goal_adaptation.set_importance(c)

@@ -1,6 +1,6 @@
 """Self-lint: the repo must satisfy its own sim-safety rule pack.
 
-This is the acceptance gate for the analysis subsystem — the exact CI
+This is the acceptance gate for the analysis subsystem — the CI
 invocations must exit 0 on the tree as committed:
 
 * ``PYTHONPATH=src python -m repro lint src/repro tests`` (per-file
@@ -9,10 +9,13 @@ invocations must exit 0 on the tree as committed:
   --baseline check`` (the whole-program SPC1xx pack behind the
   committed-baseline ratchet).
 
-Any new wall-clock call, unseeded RNG, unpaired lifecycle (lexical or
-path-sensitive), float equality on a measurement, dead attribute,
-swallowed exception, call-graph determinism leak, telemetry-name typo,
-or stale suppression fails this test before it reaches CI.
+Each distinct sweep of the tree runs once per session (module-scoped
+fixtures); the tests assert against the shared result.
+
+Any new wall-clock call, unseeded RNG, unpaired lifecycle, float
+equality on a measurement, dead attribute, swallowed exception,
+call-graph determinism leak, telemetry-name typo, or stale suppression
+fails this test before it reaches CI.
 """
 
 import json
@@ -20,6 +23,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 from repro.analysis import LintConfig, analyze_paths
 from repro.analysis.baseline import DEFAULT_BASELINE_FILE, load_baseline
@@ -37,17 +42,35 @@ def run_cli(*argv):
     )
 
 
-def test_repo_is_clean_in_process(monkeypatch):
-    monkeypatch.chdir(REPO_ROOT)
-    violations = analyze_paths(LINT_TARGETS, LintConfig())
+@pytest.fixture(scope="module")
+def deep_violations():
+    """One in-process deep sweep of the tree.  A deep sweep runs the
+    per-file rules too, so it serves both in-process gates."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(REPO_ROOT)
+        return analyze_paths(LINT_TARGETS, LintConfig(), deep=True)
+
+
+@pytest.fixture(scope="module")
+def deep_cli_run():
+    """The deep CI gate, run once: the baseline ratchet, reported as
+    SARIF.  With the committed baseline empty, its output is exactly
+    the SARIF artifact export, so one run serves both CLI gates."""
+    return run_cli(*LINT_TARGETS, "--deep", "--baseline", "check",
+                   "--format", "sarif")
+
+
+def test_repo_is_clean_in_process(deep_violations):
+    project_codes = {rule.code
+                     for rule in LintConfig().active_project_rules()}
+    violations = [v for v in deep_violations if v.rule not in project_codes]
     assert violations == [], "\n".join(v.render() for v in violations)
 
 
-def test_repo_is_deep_clean_in_process(monkeypatch):
+def test_repo_is_deep_clean_in_process(deep_violations):
     """The whole-program pack has zero un-baselined findings — and the
     committed baseline is empty, so it has zero findings, full stop."""
-    monkeypatch.chdir(REPO_ROOT)
-    violations = analyze_paths(LINT_TARGETS, LintConfig(), deep=True)
+    violations = deep_violations
     assert violations == [], "\n".join(v.render() for v in violations)
 
 
@@ -59,9 +82,9 @@ def test_repo_is_clean_via_cli():
     assert "clean" in result.stdout
 
 
-def test_deep_baseline_check_via_cli():
-    """The exact CI ratchet invocation stays green."""
-    result = run_cli(*LINT_TARGETS, "--deep", "--baseline", "check")
+def test_deep_baseline_check_via_cli(deep_cli_run):
+    """The CI ratchet invocation stays green."""
+    result = deep_cli_run
     assert result.returncode == 0, (
         f"deep lint found un-baselined findings:\n"
         f"{result.stdout}{result.stderr}"
@@ -80,9 +103,9 @@ def test_committed_baseline_is_empty():
     )
 
 
-def test_sarif_export_via_cli():
-    """The CI artifact invocation produces a valid, empty SARIF run."""
-    result = run_cli(*LINT_TARGETS, "--deep", "--format", "sarif")
+def test_sarif_export_via_cli(deep_cli_run):
+    """The deep run produces a valid, empty SARIF run."""
+    result = deep_cli_run
     assert result.returncode == 0, result.stdout + result.stderr
     payload = json.loads(result.stdout)
     assert payload["version"] == "2.1.0"

@@ -120,7 +120,6 @@ def decision_doc_strategy():
             "snapshot": measurement_strategy(),
             "predict": measurement_strategy(),
             "solve": measurement_strategy(),
-            "kernel_events": measurement_strategy(),
             "decision": st.fixed_dictionaries({
                 "baseline": measurement_strategy(),
                 "optimized": measurement_strategy(),
@@ -145,8 +144,7 @@ def test_schema_accepts_any_well_formed_document(doc):
     path=st.sampled_from([
         ("schema",), ("suite",), ("benchmarks",),
         ("benchmarks", "snapshot"), ("benchmarks", "predict"),
-        ("benchmarks", "solve"), ("benchmarks", "kernel_events"),
-        ("benchmarks", "decision"),
+        ("benchmarks", "solve"), ("benchmarks", "decision"),
         ("benchmarks", "snapshot", "best_s"),
         ("benchmarks", "decision", "speedup"),
         ("benchmarks", "decision", "same_choice"),

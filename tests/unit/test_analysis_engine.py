@@ -38,14 +38,19 @@ class TestLintConfig:
         assert {r.code for r in config.active_rules()} == {"SPC001", "SPC004"}
 
     def test_ignore_removes_rules(self):
-        config = LintConfig(ignore=["SPC003"])
+        config = LintConfig(ignore=["SPC004"])
         active = {r.code for r in config.active_rules()}
-        assert "SPC003" not in active
+        assert "SPC004" not in active
         assert "SPC001" in active
 
     def test_unknown_select_code_raises(self):
         with pytest.raises(ValueError, match="SPC042"):
             LintConfig(select=["SPC042"]).active_rules()
+
+    def test_retired_lexical_lifecycle_code_is_unknown(self):
+        # Lifecycle pairing is the deep SPC102's; SPC003 is no rule.
+        with pytest.raises(ValueError, match="SPC003"):
+            LintConfig(select=["SPC003"]).active_rules()
 
     def test_unknown_ignore_code_raises(self):
         with pytest.raises(ValueError, match="SPC042"):
@@ -234,9 +239,10 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("SPC001", "SPC002", "SPC003",
-                     "SPC004", "SPC005", "SPC006"):
+        for code in ("SPC001", "SPC002", "SPC004", "SPC005", "SPC006",
+                     "SPC102"):
             assert code in out
+        assert "SPC003" not in out
         assert "spectra: noqa" in out
 
     def test_ignore_flag(self, tmp_path):

@@ -201,6 +201,23 @@ class TestSPC102SpanPaths:
         assert len(found) == 1
         assert "monitor recording" in found[0].message
 
+    def test_nested_def_is_its_own_scope(self, tmp_path):
+        root = write_fixture(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/nested.py": """\
+                def outer(tracer, network):
+                    def proc():
+                        span = tracer.start_span("op")
+                        yield from network.transfer(100)
+                        span.end()
+                    return proc
+            """,
+        })
+        found = deep_lint(root, ["SPC102"])
+        assert len(found) == 1
+        assert "pkg.nested.outer.<locals>.proc" in found[0].message
+        assert found[0].line == 3
+
     def test_interprocedural_raise_via_raising_calls(self, tmp_path):
         root = write_fixture(tmp_path, {
             "pkg/__init__.py": "",

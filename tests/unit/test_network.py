@@ -186,13 +186,6 @@ class TestTransferLog:
         pair = log.recent(0.0, endpoint=("a", "b"))
         assert sorted(r.nbytes for r in pair) == [1, 2]
 
-    def test_short_vs_bulk_split(self):
-        log = TransferLog()
-        log.append(self.make_record(100, kind="rpc"))
-        log.append(self.make_record(100_000, kind="bulk"))
-        assert [r.nbytes for r in log.recent_short(0.0)] == [100]
-        assert [r.nbytes for r in log.recent_bulk(0.0)] == [100_000]
-
     def test_bounded_size(self):
         log = TransferLog(max_records=10)
         for i in range(25):

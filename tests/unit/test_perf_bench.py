@@ -72,7 +72,6 @@ def decision_doc():
             "snapshot": measurement_dict(),
             "predict": measurement_dict(),
             "solve": measurement_dict(),
-            "kernel_events": measurement_dict(),
             "decision": {
                 "baseline": measurement_dict(),
                 "optimized": measurement_dict(),
