@@ -1,7 +1,7 @@
 """The network monitor (paper §3.3.2).
 
 Supply is predicted **passively**: the monitor never injects probe
-traffic.  It periodically examines the RPC package's transmission log —
+traffic.  It periodically examines its own host's transmission log —
 "the short, small RPCs give an approximation of round trip time, while
 the long, large bulk transfers approximate throughput" — and fits, per
 (client, server) endpoint pair, the two-parameter model::
@@ -21,7 +21,7 @@ passes through Spectra": the per-operation
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -44,8 +44,6 @@ class NetworkMonitor(ResourceMonitor):
         self._network = network
         self.window_s = window_s
         self.decay = decay
-        # Cached estimates per remote host, refreshed on demand.
-        self._estimates: Dict[str, NetworkEstimate] = {}
 
     # -- supply ---------------------------------------------------------------------
 
@@ -60,19 +58,12 @@ class NetworkMonitor(ResourceMonitor):
         bottleneck); failing that, the interface's nominal rate.
         """
         since = max(0.0, now - self.window_s)
-        records = self._network.log.recent(
-            since, endpoint=(self._host_name, remote)
-        )
-        estimate = self._fit(records)
+        log = self._network.interface(self._host_name).log
+        estimate = self._fit(log.recent(since, peer=remote))
         if estimate is None:
-            machine_wide = [
-                r for r in self._network.log.recent(since)
-                if self._host_name in (r.src, r.dst)
-            ]
-            estimate = self._fit(machine_wide)
+            estimate = self._fit(log.recent(since))
         if estimate is None:
             estimate = self._nominal(remote)
-        self._estimates[remote] = estimate
         return estimate
 
     def _fit(self, records) -> Optional[NetworkEstimate]:

@@ -3,78 +3,60 @@
 Spectra's network monitor predicts bandwidth and latency "based upon
 passive observation of communication: the RPC package logs the sizes and
 elapsed times of short exchanges and bulk transfers" (paper §3.3.2).
-:class:`TransferLog` is that log: every simulated transfer appends a
-record, and the monitor periodically mines recent records for round-trip
-and throughput estimates.
+:class:`TransferLog` is that log, one per host: every simulated transfer
+appends a record to each host's log at both of its ends, and that host's
+monitor periodically mines its recent records for round-trip and
+throughput estimates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional
 
 
 @dataclass(frozen=True)
 class TransferRecord:
-    """One logged network transfer.
-
-    ``kind`` distinguishes ``"rpc"`` (short request/response exchange,
-    good for RTT estimation) from ``"bulk"`` (large one-way payload, good
-    for throughput estimation), mirroring the paper's short-vs-bulk split.
-    """
+    """One logged network transfer."""
 
     src: str
     dst: str
     nbytes: int
     started_at: float
     finished_at: float
-    kind: str = "bulk"
 
     @property
     def elapsed(self) -> float:
         return self.finished_at - self.started_at
 
-    @property
-    def throughput(self) -> float:
-        """Observed bytes/second (0 for instantaneous records)."""
-        if self.elapsed <= 0:
-            return 0.0
-        return self.nbytes / self.elapsed
-
 
 class TransferLog:
-    """Bounded in-memory log of :class:`TransferRecord` entries."""
+    """One host's bounded in-memory log of :class:`TransferRecord` entries."""
 
-    def __init__(self, max_records: int = 10_000):
-        self.max_records = max_records
+    MAX_RECORDS = 10_000
+
+    def __init__(self):
         self._records: List[TransferRecord] = []
 
     def append(self, record: TransferRecord) -> None:
         self._records.append(record)
-        if len(self._records) > self.max_records:
+        if len(self._records) > self.MAX_RECORDS:
             # Drop the oldest half in one slice rather than one-at-a-time.
-            del self._records[: self.max_records // 2]
+            del self._records[: self.MAX_RECORDS // 2]
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def __iter__(self) -> Iterator[TransferRecord]:
-        return iter(self._records)
-
-    def recent(self, since: float, endpoint: Optional[Tuple[str, str]] = None
+    def recent(self, since: float, peer: Optional[str] = None
                ) -> List[TransferRecord]:
-        """Records finishing after *since*, optionally for one (src,dst) pair.
+        """Records finishing after *since*, optionally only those with *peer*.
 
-        The endpoint filter is direction-insensitive: traffic both ways
-        between the pair counts, as both reveal the same link.
+        The peer filter is direction-insensitive: traffic both ways
+        between the host and *peer* counts, as both reveal the same link.
+        Every record here already has the log's own host as one end.
         """
-        out = []
-        for rec in self._records:
-            if rec.finished_at < since:
-                continue
-            if endpoint is not None:
-                pair = {rec.src, rec.dst}
-                if pair != set(endpoint):
-                    continue
-            out.append(rec)
-        return out
+        return [
+            rec for rec in self._records
+            if rec.finished_at >= since
+            and (peer is None or peer in (rec.src, rec.dst))
+        ]

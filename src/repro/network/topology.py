@@ -5,8 +5,9 @@ bytes: the RPC package, Coda fetches, and Coda reintegration all call
 :meth:`Network.transfer`.  Centralizing transfers buys two things the
 paper relies on:
 
-* every transfer lands in the :class:`~repro.network.stats.TransferLog`,
-  giving the network monitor its passive observations "for free", and
+* every transfer lands in each host's
+  :class:`~repro.network.stats.TransferLog` at both of its ends, giving
+  that host's network monitor its passive observations "for free", and
 * per-host TX/RX activity counters drive radio power draw on the energy
   meter, so network-heavy plans cost client energy — the effect that
   makes local execution sometimes win on energy despite a slower CPU.
@@ -31,7 +32,7 @@ class NetworkInterface:
 
     ``on_tx_change(active: bool)`` / ``on_rx_change(active: bool)`` fire
     on 0↔1 transitions of the respective counters; hosts wire these to
-    their power meters.
+    their power meters.  ``log`` is the host's own transfer log.
     """
 
     def __init__(self, host_name: str):
@@ -43,6 +44,7 @@ class NetworkInterface:
         #: cumulative traffic counters (diagnostics / tests)
         self.bytes_sent = 0
         self.bytes_received = 0
+        self.log = TransferLog()
 
     @property
     def transmitting(self) -> bool:
@@ -82,7 +84,9 @@ class Network:
         self._sim = sim
         self._interfaces: Dict[str, NetworkInterface] = {}
         self._links: Dict[Tuple[str, str], LinkLike] = {}
-        self.log = TransferLog()
+        #: completed (logged) transfers and their bytes, network-wide
+        self.transfers = 0
+        self.bytes_transferred = 0
 
     # -- wiring -----------------------------------------------------------------
 
@@ -153,8 +157,7 @@ class Network:
 
     # -- data movement -------------------------------------------------------------
 
-    def transfer(self, src: str, dst: str, nbytes: int,
-                 kind: str = "bulk") -> Generator:
+    def transfer(self, src: str, dst: str, nbytes: int) -> Generator:
         """Process: move *nbytes* from *src* to *dst*; returns elapsed seconds.
 
         Local 'transfers' (src == dst) complete instantly with no logging:
@@ -176,10 +179,12 @@ class Network:
         finally:
             src_if._tx_end(nbytes)
             dst_if._rx_end(nbytes)
-        self.log.append(TransferRecord(
-            src=src, dst=dst, nbytes=nbytes,
-            started_at=started, finished_at=self._sim.now, kind=kind,
-        ))
+        record = TransferRecord(src=src, dst=dst, nbytes=nbytes,
+                                started_at=started, finished_at=self._sim.now)
+        src_if.log.append(record)
+        dst_if.log.append(record)
+        self.transfers += 1
+        self.bytes_transferred += nbytes
         return elapsed
 
     def estimate_transfer_time(self, src: str, dst: str, nbytes: int) -> float:

@@ -230,10 +230,7 @@ class RpcTransport:
                 f"host {dst_host!r} unreachable from {src_host!r}"
             )
 
-        kind = "rpc" if request.wire_bytes <= 1024 else "bulk"
-        yield from self.network.transfer(
-            src_host, dst_host, request.wire_bytes, kind=kind,
-        )
+        yield from self.network.transfer(src_host, dst_host, request.wire_bytes)
 
         response = yield from dispatcher(request)
         if not isinstance(response, Response):
@@ -242,8 +239,6 @@ class RpcTransport:
                 "expected Response"
             )
 
-        kind = "rpc" if response.wire_bytes <= 1024 else "bulk"
-        yield from self.network.transfer(
-            dst_host, src_host, response.wire_bytes, kind=kind,
-        )
+        yield from self.network.transfer(dst_host, src_host,
+                                         response.wire_bytes)
         return response

@@ -372,7 +372,6 @@ def run_scenario(
     counters = {name: telemetry.metrics.counter(name).value
                 for name in REPORT_COUNTERS}
     records.sort(key=lambda r: (r.client, r.index))
-    nbytes = sum(rec.nbytes for rec in world.network.log)
     predictor_state: Optional[Dict[str, str]] = None
     if store is not None:
         # Flush in client order (deterministic), then fingerprint each
@@ -395,8 +394,8 @@ def run_scenario(
         energy_j=energy,
         counters=counters,
         fault_journal=world.injector.journal(),
-        bytes_transferred=nbytes,
-        transfers=len(world.network.log),
+        bytes_transferred=world.network.bytes_transferred,
+        transfers=world.network.transfers,
         predictor_state=predictor_state,
     )
 

@@ -108,9 +108,9 @@ class TestNetworkMonitor:
         monitor = NetworkMonitor("client", wired)
 
         def traffic():
-            yield from wired.transfer("client", "server", 200, kind="rpc")
-            yield from wired.transfer("client", "server", 5_000, kind="bulk")
-            yield from wired.transfer("server", "client", 2_000, kind="bulk")
+            yield from wired.transfer("client", "server", 200)
+            yield from wired.transfer("client", "server", 5_000)
+            yield from wired.transfer("server", "client", 2_000)
 
         sim.run_process(traffic())
         estimate = monitor.estimate_to("server", now=sim.now)
@@ -147,7 +147,7 @@ class TestNetworkMonitor:
         # ...but any failure other than NoRouteError is a bug in the
         # caller's wiring and must not masquerade as a dead link.
         class BrokenNetwork:
-            log = wired.log
+            interface = wired.interface
 
             def link_between(self, a, b):
                 raise RuntimeError("mis-wired network object")
@@ -295,9 +295,9 @@ class TestMachineWideBandwidthFallback:
         monitor = NetworkMonitor("client", network)
 
         def traffic():
-            yield from network.transfer("client", "a", 200, kind="rpc")
-            yield from network.transfer("client", "a", 5_000, kind="bulk")
-            yield from network.transfer("a", "client", 2_000, kind="bulk")
+            yield from network.transfer("client", "a", 200)
+            yield from network.transfer("client", "a", 5_000)
+            yield from network.transfer("a", "client", 2_000)
 
         sim.run_process(traffic())
         estimate = monitor.estimate_to("b", now=sim.now)

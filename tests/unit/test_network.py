@@ -107,21 +107,55 @@ class TestNetworkTopology:
 
     def test_transfer_logs_record(self, sim, net):
         def push():
-            return (yield from net.transfer("a", "b", 500, kind="bulk"))
+            return (yield from net.transfer("a", "b", 500))
 
         elapsed = sim.run_process(push())
         assert elapsed == pytest.approx(0.6)
-        assert len(net.log) == 1
-        record = list(net.log)[0]
-        assert (record.src, record.dst, record.nbytes) == ("a", "b", 500)
-        assert record.elapsed == pytest.approx(0.6)
+        for host in ("a", "b"):
+            [record] = net.interface(host).log.recent(0.0)
+            assert (record.src, record.dst, record.nbytes) == ("a", "b", 500)
+            assert record.elapsed == pytest.approx(0.6)
 
     def test_loopback_is_free_and_unlogged(self, sim, net):
         def push():
             return (yield from net.transfer("a", "a", 10_000))
 
         assert sim.run_process(push()) == 0.0
-        assert len(net.log) == 0
+        assert len(net.interface("a").log) == 0
+        assert net.transfers == 0
+
+    def test_totals_count_every_completed_transfer(self, sim, net,
+                                                   monkeypatch):
+        """The report totals count every completed transfer, also once
+        the capped host logs have evicted records, and no aborted one."""
+        monkeypatch.setattr(TransferLog, "MAX_RECORDS", 4)
+        sizes = [100 + i for i in range(10)]
+
+        def push():
+            for size in sizes:
+                yield from net.transfer("a", "b", size)
+
+        sim.run_process(push())
+        assert net.transfers == 10
+        assert net.bytes_transferred == sum(sizes)
+        for host in ("a", "b"):
+            assert len(net.interface(host).log) <= 4
+
+        outcome = {}
+
+        def doomed():
+            try:
+                yield from net.transfer("a", "b", 10_000)
+            except TransferAbortedError:
+                outcome["aborted"] = True
+
+        sim.spawn(doomed())
+        sim.advance(0.5)
+        net.disconnect("a", "b")
+        sim.run()
+        assert outcome == {"aborted": True}
+        assert net.transfers == 10
+        assert net.bytes_transferred == sum(sizes)
 
     def test_interface_counters(self, sim, net):
         def push():
@@ -168,9 +202,9 @@ class TestNetworkTopology:
 
 
 class TestTransferLog:
-    def make_record(self, nbytes, t0=0.0, t1=1.0, kind="bulk"):
+    def make_record(self, nbytes, t0=0.0, t1=1.0):
         return TransferRecord(src="a", dst="b", nbytes=nbytes,
-                              started_at=t0, finished_at=t1, kind=kind)
+                              started_at=t0, finished_at=t1)
 
     def test_recent_filters_by_time(self):
         log = TransferLog()
@@ -179,24 +213,21 @@ class TestTransferLog:
         assert [r.nbytes for r in log.recent(2.0)] == [200]
 
     def test_endpoint_filter_is_bidirectional(self):
-        log = TransferLog()
+        log = TransferLog()  # host a's log
         log.append(TransferRecord("a", "b", 1, 0, 1))
         log.append(TransferRecord("b", "a", 2, 0, 1))
         log.append(TransferRecord("a", "c", 3, 0, 1))
-        pair = log.recent(0.0, endpoint=("a", "b"))
-        assert sorted(r.nbytes for r in pair) == [1, 2]
+        pair = log.recent(0.0, peer="b")
+        assert [r.nbytes for r in pair] == [1, 2]
 
     def test_bounded_size(self):
-        log = TransferLog(max_records=10)
-        for i in range(25):
+        log = TransferLog()
+        total = TransferLog.MAX_RECORDS * 2 + 5
+        for i in range(total):
             log.append(self.make_record(i, t0=i, t1=i + 1))
-        assert len(log) <= 10
+        assert len(log) <= TransferLog.MAX_RECORDS
         # Newest records survive.
-        assert list(log)[-1].nbytes == 24
-
-    def test_throughput(self):
-        record = self.make_record(500, 0.0, 2.0)
-        assert record.throughput == pytest.approx(250.0)
+        assert log.recent(0.0)[-1].nbytes == total - 1
 
 
 class TestLinkFailures:
