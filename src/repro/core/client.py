@@ -163,7 +163,6 @@ class SpectraClient:
         local_server: SpectraServer,
         solver=None,
         overhead: Optional[OverheadModel] = None,
-        battery_monitor_cls=None,
         predictor_decay: float = 0.95,
         always_reintegrate: bool = False,
         telemetry: Optional[Telemetry] = None,
@@ -202,10 +201,8 @@ class SpectraClient:
             )
 
         self.network_monitor = NetworkMonitor(host.name, transport.network)
-        battery_cls = battery_monitor_cls or (
-            SmartBatteryMonitor if host.battery_driver is not None
-            else MultimeterMonitor
-        )
+        battery_cls = (SmartBatteryMonitor if host.battery_driver is not None
+                       else MultimeterMonitor)
         self.monitors = MonitorSet([
             LocalCPUMonitor(host),
             self.network_monitor,

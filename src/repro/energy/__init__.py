@@ -2,13 +2,12 @@
 
 from .battery import AcpiDriver, Battery, BatteryEmptyError, SmartBatteryDriver
 from .goal import GoalDirectedAdaptation
-from .power import EnergyInterval, PowerMeter
+from .power import PowerMeter
 
 __all__ = [
     "AcpiDriver",
     "Battery",
     "BatteryEmptyError",
-    "EnergyInterval",
     "GoalDirectedAdaptation",
     "PowerMeter",
     "SmartBatteryDriver",

@@ -12,7 +12,7 @@ or a digital multimeter.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..sim import Simulator
 
@@ -82,27 +82,3 @@ class PowerMeter:
         if delta > 0:
             for listener in self._listeners:
                 listener(delta, now)
-
-
-class EnergyInterval:
-    """Convenience for before/after energy measurements.
-
-    Mirrors how the paper instruments operations: read the meter at
-    ``begin_fidelity_op``, read again at ``end_fidelity_op``, report the
-    difference.
-    """
-
-    def __init__(self, meter: PowerMeter):
-        self._meter = meter
-        self._start: Optional[float] = None
-
-    def start(self) -> None:
-        self._start = self._meter.energy_consumed_joules()
-
-    def stop(self) -> float:
-        """Joules consumed since :meth:`start`."""
-        if self._start is None:
-            raise RuntimeError("EnergyInterval.stop() before start()")
-        joules = self._meter.energy_consumed_joules() - self._start
-        self._start = None
-        return joules

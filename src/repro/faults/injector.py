@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..network import Network
+from ..network import Link, Network
 from ..sim import Simulator
 from ..telemetry import Telemetry, ensure_telemetry
 from .schedule import FaultEvent, FaultSchedule, Target
@@ -76,9 +76,9 @@ class FaultInjector:
         self._servers = dict(servers or {})
         self.telemetry = ensure_telemetry(telemetry)
         #: links severed by a crash, keyed by crashed host
-        self._severed: Dict[str, Dict[Tuple[str, str], object]] = {}
+        self._severed: Dict[str, Dict[Tuple[str, str], Link]] = {}
         #: links removed by a partition, keyed by canonical pair
-        self._partitioned: Dict[Tuple[str, str], object] = {}
+        self._partitioned: Dict[Tuple[str, str], Link] = {}
         #: nominal bandwidth/latency remembered at first degradation
         self._nominal_bw: Dict[Tuple[str, str], float] = {}
         self._nominal_latency: Dict[Tuple[str, str], float] = {}
@@ -132,9 +132,7 @@ class FaultInjector:
         aborted = 0
         for (a, b), link in severed.items():
             self._network.disconnect(a, b, abort_in_flight=False)
-            aborter = getattr(link, "abort_transfers", None)
-            if aborter is not None:
-                aborted += aborter(f"server {host!r} crashed")
+            aborted += link.abort_transfers(f"server {host!r} crashed")
         self._severed[host] = severed
         return True, aborted
 
@@ -156,10 +154,11 @@ class FaultInjector:
         key = self._key(pair)
         if key in self._partitioned:
             return False, 0
-        before = self._active_transfers(pair)
-        link = self._network.disconnect(*pair)
+        link = self._link(pair)
         if link is None:
             return False, 0
+        before = link.active_transfers
+        self._network.disconnect(*pair)
         self._partitioned[key] = link
         return True, before
 
@@ -215,14 +214,10 @@ class FaultInjector:
         a, b = pair
         return (a, b) if a <= b else (b, a)
 
-    def _link(self, pair: Tuple[str, str]):
+    def _link(self, pair: Tuple[str, str]) -> Optional[Link]:
         if not self._network.connected(*pair):
             return None
         return self._network.link_between(*pair)
-
-    def _active_transfers(self, pair: Tuple[str, str]) -> int:
-        link = self._link(pair)
-        return getattr(link, "active_transfers", 0) if link else 0
 
     def journal(self) -> List[str]:
         """Human-readable application log, in order."""

@@ -29,6 +29,9 @@ from ..sim import Simulator
 from .cpu import CPU, BackgroundLoad
 from .profiles import HostProfile
 
+#: Battery drivers a battery-powered host can read.
+BATTERY_DRIVERS = ("smart", "acpi")
+
 
 class Host:
     """One machine in the testbed.

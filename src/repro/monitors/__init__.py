@@ -2,7 +2,6 @@
 
 from .base import MonitorSet, OperationRecording, ResourceMonitor
 from .battery import (
-    AcpiBatteryMonitor,
     BatteryMonitorBase,
     MultimeterMonitor,
     SmartBatteryMonitor,
@@ -20,7 +19,6 @@ from .snapshot import (
 )
 
 __all__ = [
-    "AcpiBatteryMonitor",
     "BatteryEstimate",
     "BatteryMonitorBase",
     "CacheStateEstimate",

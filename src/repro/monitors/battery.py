@@ -11,9 +11,10 @@ the energy usage of concurrent operations, Spectra ignores data gathered
 from concurrently executing operations" — the client marks recordings as
 concurrent and the predictor stack drops their energy samples.
 
-Two flavours mirror the paper's two device drivers: the SmartBattery
-variant reads fine-grained capacity, the ACPI variant coarse capacity.
-Both express the same monitor interface; testbeds pick per platform.
+A host with a battery driver (SmartBattery or ACPI) gets the
+:class:`SmartBatteryMonitor`, which reads remaining capacity from
+whichever driver the host has; a host without one (the 560X) is
+measured by the :class:`MultimeterMonitor`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .snapshot import BatteryEstimate, ResourceSnapshot
 
 
 class BatteryMonitorBase(ResourceMonitor):
-    """Common supply/demand logic for both driver flavours."""
+    """Common supply/demand logic for every battery monitor."""
 
     name = "battery"
 
@@ -65,21 +66,9 @@ class BatteryMonitorBase(ResourceMonitor):
 
 
 class SmartBatteryMonitor(BatteryMonitorBase):
-    """Reads the SmartBattery driver (fine-grained; the Itsy's source)."""
+    """Reads the host's battery driver, SmartBattery (the Itsy's) or ACPI."""
 
     name = "battery-smart"
-
-    def _remaining_joules(self) -> Optional[float]:
-        driver = self._host.battery_driver
-        if driver is None:
-            return None
-        return driver.remaining_capacity_joules()
-
-
-class AcpiBatteryMonitor(BatteryMonitorBase):
-    """Reads the ACPI driver (coarse-grained; typical laptop source)."""
-
-    name = "battery-acpi"
 
     def _remaining_joules(self) -> Optional[float]:
         driver = self._host.battery_driver

@@ -1,4 +1,4 @@
-"""Network links: point-to-point pipes and shared media.
+"""Network links: one-way latency over a share of some bandwidth.
 
 Two kinds of interconnect appear in the paper's testbeds:
 
@@ -8,20 +8,22 @@ Two kinds of interconnect appear in the paper's testbeds:
   and B — a broadcast medium where concurrent transfers contend for the
   same airtime.
 
-Both are modelled as a latency plus a byte-rate
-:class:`~repro.sim.resources.FairShareResource`; the difference is scope.
-A :class:`Link` owns a private resource; a :class:`SharedMedium` hands the
-*same* resource to every attached pair, so simultaneous transfers split
-the bandwidth — which is what makes Coda reintegration traffic slow down
-a concurrent RPC, an effect Spectra's predictions must capture.
+Both are a :class:`Link`: a one-way latency over a byte-rate
+:class:`~repro.sim.resources.FairShareResource`; the difference is who
+owns the resource.  A point-to-point ``Link`` owns a private one; every
+link a :class:`SharedMedium` attaches shares the medium's, so
+simultaneous transfers split the bandwidth — which is what makes Coda
+reintegration traffic slow down a concurrent RPC, an effect Spectra's
+predictions must capture.
 
 Links can also *fail* mid-transfer: severing a link (a partition, a
-server crash) aborts its in-flight byte jobs with
+server crash) aborts its own in-flight byte jobs with
 :class:`TransferAbortedError`, which propagates up through the waiting
-RPC exchange exactly like a real connection reset.  Bandwidth may be
-degraded all the way to zero (a jammed medium): in-flight transfers
-stall until capacity returns, and transfer-time estimates become
-infinite rather than dividing by zero.
+RPC exchange exactly like a real connection reset; the rest of a
+medium's traffic keeps flowing.  Bandwidth may be degraded all the way
+to zero (a jammed medium): in-flight transfers stall until capacity
+returns, and transfer-time estimates become infinite rather than
+dividing by zero.
 """
 
 from __future__ import annotations
@@ -42,63 +44,94 @@ class TransferAbortedError(RuntimeError):
 
 
 class Link:
-    """A point-to-point pipe with one-way ``latency`` and shared ``bandwidth``.
+    """A pipe with one-way ``latency`` over a fair share of bandwidth.
 
     ``bandwidth`` is bytes/second for the pipe as a whole; concurrent
     transfers in either direction share it fairly (full-duplex serial
-    lines and half-duplex radios both approximate this under load).
+    lines and half-duplex radios both approximate this under load).  A
+    link made by :meth:`SharedMedium.attach` shares the medium's
+    bandwidth with every other attached link instead of owning its own.
     """
 
     def __init__(self, sim: Simulator, bandwidth_bps: float,
                  latency_s: float, name: str = "link"):
+        self._bind(sim, latency_s, name)
+        self._resource = FairShareResource(sim, bandwidth_bps, name=f"{name}.bw")
+
+    @classmethod
+    def _sharing(cls, sim: Simulator, resource: FairShareResource,
+                 latency_s: float, name: str) -> "Link":
+        """A link over *resource*, bandwidth another owner shares out."""
+        link = cls.__new__(cls)
+        link._bind(sim, latency_s, name)
+        link._resource = resource
+        return link
+
+    def _bind(self, sim: Simulator, latency_s: float, name: str) -> None:
         if latency_s < 0:
             raise ValueError(f"negative latency: {latency_s}")
         self._sim = sim
         self.name = name
         self.latency_s = float(latency_s)
-        self._resource = FairShareResource(sim, bandwidth_bps, name=f"{name}.bw")
+        #: this link's byte jobs, in submission order (on a medium the
+        #: resource also serves other links' jobs, which are not ours
+        #: to count or abort)
+        self._jobs: List[FairShareJob] = []
 
     @property
     def bandwidth_bps(self) -> float:
-        """Nominal capacity, bytes/second."""
+        """Nominal capacity, bytes/second (a medium's, if attached)."""
         return self._resource.capacity
 
     def set_bandwidth(self, bandwidth_bps: float) -> None:
         """Change capacity (the paper's 'network scenario' halves it).
 
-        Zero is legal — a fully-jammed link; in-flight transfers stall
-        until bandwidth returns.
+        On an attached link this changes the whole medium.  Zero is
+        legal — a fully-jammed link; in-flight transfers stall until
+        bandwidth returns.
         """
         self._resource.set_capacity(bandwidth_bps)
 
     @property
     def active_transfers(self) -> int:
-        return self._resource.active_jobs
+        """This link's byte jobs still in service."""
+        return sum(1 for job in self._jobs if job.in_service)
 
     def abort_transfers(self, reason: str = "") -> int:
-        """Fail every in-flight transfer with :class:`TransferAbortedError`.
+        """Fail this link's in-flight transfers with :class:`TransferAbortedError`.
 
-        Returns the number of transfers aborted.  Called when the link
-        is severed mid-operation (fault injection, partitions).
+        One fresh exception per transfer, in submission order; returns
+        the number aborted.  Called when the link is severed
+        mid-operation (fault injection, partitions).  Other links on
+        the same medium keep their traffic.
         """
         message = reason or f"transfer aborted: link {self.name!r} severed"
-        return self._resource.abort_all(
-            lambda: TransferAbortedError(message)
-        )
+        return sum(self._resource.abort(job, TransferAbortedError(message))
+                   for job in list(self._jobs))
 
     def transmit(self, nbytes: int) -> Generator:
         """Process: move *nbytes* across the link; returns elapsed seconds.
 
         Time = one-way latency + fair share of bandwidth.  Zero-byte
-        transfers still pay latency (a bare datagram).  If the waiting
-        process is interrupted (an RPC timeout firing), the byte job is
-        withdrawn so the link's capacity is not leaked.
+        transfers still pay latency (a bare datagram).  An abort (link
+        severed) fails the job with :class:`TransferAbortedError`, which
+        simply propagates; any other exception delivered while waiting
+        (an :class:`~repro.sim.Interrupt` from an RPC timeout, a
+        generator close) withdraws the job first, so the link's capacity
+        is not leaked.
         """
         start = self._sim.now
         yield Timeout(self.latency_s)
         if nbytes > 0:
             job = self._resource.submit(float(nbytes))
-            yield from _await_job(self._resource, job)
+            self._jobs.append(job)
+            try:
+                yield job.done
+            except BaseException:
+                self._resource.abort(job)  # no-op once finished/aborted
+                raise
+            finally:
+                self._jobs.remove(job)
         return self._sim.now - start
 
     def estimate_transfer_time(self, nbytes: int) -> float:
@@ -115,28 +148,12 @@ class Link:
         return self.latency_s + nbytes / rate
 
 
-def _await_job(resource: FairShareResource, job: FairShareJob) -> Generator:
-    """Process: wait for a byte job, withdrawing it if the wait dies.
-
-    An abort (link severed) fails ``job.done`` with
-    :class:`TransferAbortedError`, which simply propagates.  Any other
-    exception delivered at the yield point — an :class:`~repro.sim.Interrupt`
-    from an RPC timeout, a generator close — must not leave the job
-    consuming bandwidth forever, so it is withdrawn before re-raising.
-    """
-    try:
-        yield job.done
-    except BaseException:
-        resource.abort(job)  # no-op when the job already finished/aborted
-        raise
-
-
 class SharedMedium:
     """A broadcast medium (wireless LAN) shared by many endpoints.
 
-    :meth:`attach` returns a :class:`Link`-compatible view for one
-    endpoint pair; all views share the medium's bandwidth resource so
-    contention is global, while per-pair latency may differ.
+    :meth:`attach` returns a :class:`Link` for one endpoint pair; every
+    attached link shares the medium's bandwidth resource, so contention
+    is global, while per-pair latency may differ.
     """
 
     def __init__(self, sim: Simulator, bandwidth_bps: float,
@@ -145,7 +162,7 @@ class SharedMedium:
         self.name = name
         self.default_latency_s = default_latency_s
         self._resource = FairShareResource(sim, bandwidth_bps, name=f"{name}.bw")
-        self._views: List["_MediumView"] = []
+        self._attached = 0
 
     @property
     def bandwidth_bps(self) -> float:
@@ -154,83 +171,14 @@ class SharedMedium:
     def set_bandwidth(self, bandwidth_bps: float) -> None:
         self._resource.set_capacity(bandwidth_bps)
 
-    @property
-    def active_transfers(self) -> int:
-        return self._resource.active_jobs
-
-    def abort_transfers(self, reason: str = "") -> int:
-        """Abort every in-flight transfer on the whole medium."""
-        message = reason or f"transfer aborted: medium {self.name!r} severed"
-        return self._resource.abort_all(
-            lambda: TransferAbortedError(message)
-        )
-
     def attach(self, latency_s: Optional[float] = None,
-               name: str = "") -> "_MediumView":
-        """Create a pairwise view of this medium with its own latency."""
-        view = _MediumView(
+               name: str = "") -> Link:
+        """Create a link over this medium with its own latency."""
+        link = Link._sharing(
             self._sim,
-            self,
+            self._resource,
             latency_s if latency_s is not None else self.default_latency_s,
-            name=name or f"{self.name}.view{len(self._views)}",
+            name=name or f"{self.name}.view{self._attached}",
         )
-        self._views.append(view)
-        return view
-
-
-class _MediumView:
-    """Link-shaped facade over a :class:`SharedMedium` for one host pair."""
-
-    def __init__(self, sim: Simulator, medium: SharedMedium,
-                 latency_s: float, name: str):
-        self._sim = sim
-        self._medium = medium
-        self.latency_s = latency_s
-        self.name = name
-        #: this pair's in-flight byte jobs (severing one view must not
-        #: abort the rest of the medium's traffic)
-        self._active: List[FairShareJob] = []
-
-    @property
-    def bandwidth_bps(self) -> float:
-        return self._medium.bandwidth_bps
-
-    def set_bandwidth(self, bandwidth_bps: float) -> None:
-        self._medium.set_bandwidth(bandwidth_bps)
-
-    @property
-    def active_transfers(self) -> int:
-        return len(self._active)
-
-    def abort_transfers(self, reason: str = "") -> int:
-        """Abort this pair's in-flight transfers only.
-
-        A partition between one host pair leaves the rest of the shared
-        medium's traffic flowing — only the severed pair's jobs die.
-        """
-        message = reason or f"transfer aborted: link {self.name!r} severed"
-        count = 0
-        for job in list(self._active):
-            if self._medium._resource.abort(job, TransferAbortedError(message)):
-                count += 1
-        return count
-
-    def transmit(self, nbytes: int) -> Generator:
-        start = self._sim.now
-        yield Timeout(self.latency_s)
-        if nbytes > 0:
-            job = self._medium._resource.submit(float(nbytes))
-            self._active.append(job)
-            try:
-                yield from _await_job(self._medium._resource, job)
-            finally:
-                self._active.remove(job)
-        return self._sim.now - start
-
-    def estimate_transfer_time(self, nbytes: int) -> float:
-        rate = self._medium._resource.rate_for_new_job()
-        if nbytes <= 0:
-            return self.latency_s
-        if rate <= 0:
-            return float("inf")
-        return self.latency_s + nbytes / rate
+        self._attached += 1
+        return link

@@ -1,9 +1,11 @@
 """Network topology: named hosts wired together by links.
 
-The :class:`Network` is the single entry point higher layers use to move
-bytes: the RPC package, Coda fetches, and Coda reintegration all call
-:meth:`Network.transfer`.  Centralizing transfers buys two things the
-paper relies on:
+Each host pair is joined by one :class:`~repro.network.link.Link`, a
+point-to-point pipe or a link attached to a shared medium; the network
+treats both alike.  The :class:`Network` is the single entry point
+higher layers use to move bytes: the RPC package, Coda fetches, and
+Coda reintegration all call :meth:`Network.transfer`.  Centralizing
+transfers buys two things the paper relies on:
 
 * every transfer lands in each host's
   :class:`~repro.network.stats.TransferLog` at both of its ends, giving
@@ -18,9 +20,8 @@ from __future__ import annotations
 from typing import Callable, Dict, Generator, Optional, Tuple
 
 from ..sim import Simulator
+from .link import Link
 from .stats import TransferLog, TransferRecord
-
-LinkLike = object  # Link or _MediumView; both expose the same interface
 
 
 class NoRouteError(LookupError):
@@ -41,27 +42,15 @@ class NetworkInterface:
         self._rx = 0
         self.on_tx_change: Optional[Callable[[bool], None]] = None
         self.on_rx_change: Optional[Callable[[bool], None]] = None
-        #: cumulative traffic counters (diagnostics / tests)
-        self.bytes_sent = 0
-        self.bytes_received = 0
         self.log = TransferLog()
-
-    @property
-    def transmitting(self) -> bool:
-        return self._tx > 0
-
-    @property
-    def receiving(self) -> bool:
-        return self._rx > 0
 
     def _tx_begin(self) -> None:
         self._tx += 1
         if self._tx == 1 and self.on_tx_change is not None:
             self.on_tx_change(True)
 
-    def _tx_end(self, nbytes: int) -> None:
+    def _tx_end(self) -> None:
         self._tx -= 1
-        self.bytes_sent += nbytes
         if self._tx == 0 and self.on_tx_change is not None:
             self.on_tx_change(False)
 
@@ -70,9 +59,8 @@ class NetworkInterface:
         if self._rx == 1 and self.on_rx_change is not None:
             self.on_rx_change(True)
 
-    def _rx_end(self, nbytes: int) -> None:
+    def _rx_end(self) -> None:
         self._rx -= 1
-        self.bytes_received += nbytes
         if self._rx == 0 and self.on_rx_change is not None:
             self.on_rx_change(False)
 
@@ -83,7 +71,7 @@ class Network:
     def __init__(self, sim: Simulator):
         self._sim = sim
         self._interfaces: Dict[str, NetworkInterface] = {}
-        self._links: Dict[Tuple[str, str], LinkLike] = {}
+        self._links: Dict[Tuple[str, str], Link] = {}
         #: completed (logged) transfers and their bytes, network-wide
         self.transfers = 0
         self.bytes_transferred = 0
@@ -104,7 +92,7 @@ class Network:
         except KeyError:
             raise NoRouteError(f"unknown host {host_name!r}") from None
 
-    def connect(self, host_a: str, host_b: str, link: LinkLike) -> None:
+    def connect(self, host_a: str, host_b: str, link: Link) -> None:
         """Wire two registered hosts together with *link* (bidirectional)."""
         for host in (host_a, host_b):
             if host not in self._interfaces:
@@ -113,7 +101,7 @@ class Network:
                 )
         self._links[self._key(host_a, host_b)] = link
 
-    def link_between(self, host_a: str, host_b: str) -> LinkLike:
+    def link_between(self, host_a: str, host_b: str) -> Link:
         try:
             return self._links[self._key(host_a, host_b)]
         except KeyError:
@@ -125,7 +113,7 @@ class Network:
         return self._key(host_a, host_b) in self._links
 
     def disconnect(self, host_a: str, host_b: str,
-                   abort_in_flight: bool = True) -> Optional[LinkLike]:
+                   abort_in_flight: bool = True) -> Optional[Link]:
         """Remove the link (the paper's simulated network partition).
 
         By default, transfers that are mid-flight on the severed link
@@ -139,12 +127,10 @@ class Network:
         if link is None:
             return None
         if abort_in_flight:
-            aborter = getattr(link, "abort_transfers", None)
-            if aborter is not None:
-                aborter(f"partition between {host_a!r} and {host_b!r}")
+            link.abort_transfers(f"partition between {host_a!r} and {host_b!r}")
         return link
 
-    def links_of(self, host_name: str) -> Dict[Tuple[str, str], LinkLike]:
+    def links_of(self, host_name: str) -> Dict[Tuple[str, str], Link]:
         """Every link adjacent to *host_name*, keyed by (a, b) host pair.
 
         The fault injector uses this to sever (and later restore) all of
@@ -177,8 +163,8 @@ class Network:
         try:
             elapsed = yield from link.transmit(nbytes)
         finally:
-            src_if._tx_end(nbytes)
-            dst_if._rx_end(nbytes)
+            src_if._tx_end()
+            dst_if._rx_end()
         record = TransferRecord(src=src, dst=dst, nbytes=nbytes,
                                 started_at=started, finished_at=self._sim.now)
         src_if.log.append(record)

@@ -95,6 +95,12 @@ class SpeechAdapter(AppAdapter):
 
     kind = "speech"
 
+    def __init__(self, options: Optional[Mapping] = None):
+        super().__init__(options)
+        self.mean_length_s = float(self.options.get("mean_length_s", 2.0))
+        self.spread_s = float(self.options.get("spread_s", 0.8))
+        self.min_length_s = float(self.options.get("min_length_s", 0.5))
+
     def install(self, fileserver) -> None:
         for path, size in ((FULL_LM_PATH, FULL_LM_BYTES),
                            (REDUCED_LM_PATH, REDUCED_LM_BYTES)):
@@ -112,10 +118,9 @@ class SpeechAdapter(AppAdapter):
         return SpeechApplication(client)
 
     def operation(self, app, rng, index, force=None) -> Generator:
-        mean = float(self.options.get("mean_length_s", 2.0))
-        spread = float(self.options.get("spread_s", 0.8))
-        floor = float(self.options.get("min_length_s", 0.5))
-        length = max(floor, rng.uniform(mean - spread, mean + spread))
+        mean, spread = self.mean_length_s, self.spread_s
+        length = max(self.min_length_s,
+                     rng.uniform(mean - spread, mean + spread))
         return app.recognize(length, force=force)
 
 

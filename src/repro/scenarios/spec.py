@@ -20,10 +20,12 @@ and the environment timeline compiles onto the existing
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
+                    Union, get_args, get_origin, get_type_hints)
 
 from ..hosts import PROFILES
+from ..hosts.host import BATTERY_DRIVERS
 
 #: Host roles: clients run applications and generate traffic; servers
 #: only accept remote work.
@@ -81,6 +83,65 @@ def _field_names(cls) -> List[str]:
     return [f.name for f in fields(cls)]
 
 
+def _conforms(value: Any, hint: Any) -> bool:
+    """Whether a JSON-decoded *value* can fill a field typed *hint*.
+
+    Nested sections (a dataclass, or a tuple of them) only need the
+    right container here; their own ``from_dict`` checks their fields.
+    """
+    origin = get_origin(hint)
+    if hint is Any:
+        return True
+    if origin is Union:
+        return any(_conforms(value, arg) for arg in get_args(hint))
+    if hint is type(None):
+        return value is None
+    if origin is tuple:
+        item = get_args(hint)[0]
+        return (isinstance(value, (list, tuple))
+                and all(_conforms(v, item) for v in value))
+    if is_dataclass(hint) or origin is not None:  # a section, or a Mapping
+        return isinstance(value, Mapping)
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _describe(hint: Any) -> str:
+    origin = get_origin(hint)
+    if origin is Union:
+        return " or ".join(_describe(arg) for arg in get_args(hint))
+    if origin is tuple:
+        return f"list of {_describe(get_args(hint)[0])}"
+    if is_dataclass(hint) or origin is not None:
+        return "mapping"
+    return "null" if hint is type(None) else hint.__name__
+
+
+def _load(cls, data: Any, path: str) -> Dict[str, Any]:
+    """Check *data* against *cls*'s fields; returns a copy to build from.
+
+    Unknown and missing keys and values of the wrong JSON type raise a
+    path-qualified :class:`ScenarioError`, so :meth:`ScenarioSpec.validate`
+    only ever compares values of the declared types.
+    """
+    _check_mapping(data, path, _field_names(cls))
+    missing = [f.name for f in fields(cls) if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise _structural(path, f"missing key(s) {', '.join(missing)}")
+    hints = get_type_hints(cls)
+    for name, value in data.items():
+        if not _conforms(value, hints[name]):
+            raise _structural(
+                f"{path}.{name}",
+                f"expected {_describe(hints[name])}, "
+                f"got {type(value).__name__}")
+    return dict(data)
+
+
 @dataclass(frozen=True)
 class HostSpec:
     """One machine of the world, by hardware-profile registry key."""
@@ -93,8 +154,7 @@ class HostSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping, path: str) -> "HostSpec":
-        _check_mapping(data, path, _field_names(cls))
-        return cls(**data)
+        return cls(**_load(cls, data, path))
 
 
 @dataclass(frozen=True)
@@ -107,8 +167,7 @@ class MediumSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping, path: str) -> "MediumSpec":
-        _check_mapping(data, path, _field_names(cls))
-        return cls(**data)
+        return cls(**_load(cls, data, path))
 
 
 @dataclass(frozen=True)
@@ -132,8 +191,7 @@ class LinkSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping, path: str) -> "LinkSpec":
-        _check_mapping(data, path, _field_names(cls))
-        return cls(**data)
+        return cls(**_load(cls, data, path))
 
 
 @dataclass(frozen=True)
@@ -154,8 +212,7 @@ class AppSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping, path: str) -> "AppSpec":
-        _check_mapping(data, path, _field_names(cls))
-        data = dict(data)
+        data = _load(cls, data, path)
         data["hosts"] = tuple(data.get("hosts", ()))
         data["options"] = dict(data.get("options", {}))
         return cls(**data)
@@ -184,8 +241,7 @@ class ArrivalSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping, path: str) -> "ArrivalSpec":
-        _check_mapping(data, path, _field_names(cls))
-        data = dict(data)
+        data = _load(cls, data, path)
         data["times"] = tuple(data.get("times", ()))
         return cls(**data)
 
@@ -199,8 +255,7 @@ class ThinkSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping, path: str) -> "ThinkSpec":
-        _check_mapping(data, path, _field_names(cls))
-        return cls(**data)
+        return cls(**_load(cls, data, path))
 
 
 @dataclass(frozen=True)
@@ -220,8 +275,7 @@ class ClientSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping, path: str) -> "ClientSpec":
-        _check_mapping(data, path, _field_names(cls))
-        data = dict(data)
+        data = _load(cls, data, path)
         data["servers"] = tuple(data.get("servers", ()))
         if "arrivals" in data:
             data["arrivals"] = ArrivalSpec.from_dict(
@@ -246,7 +300,7 @@ class TimelineEventSpec:
 
     at_s: float
     kind: str
-    target: Any  # host name, or [a, b] link pair
+    target: Union[str, Tuple[str, ...]]  # host name, or [a, b] link pair
     value: Optional[float] = None
     until_s: Optional[float] = None
 
@@ -258,8 +312,7 @@ class TimelineEventSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping, path: str) -> "TimelineEventSpec":
-        _check_mapping(data, path, _field_names(cls))
-        data = dict(data)
+        data = _load(cls, data, path)
         target = data.get("target")
         if isinstance(target, (list, tuple)):
             data["target"] = tuple(target)
@@ -306,15 +359,12 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping, path: str = "scenario") -> "ScenarioSpec":
-        _check_mapping(data, path, _field_names(cls))
-        data = dict(data)
+        data = _load(cls, data, path)
         for key, section in (("hosts", HostSpec), ("media", MediumSpec),
                              ("links", LinkSpec), ("apps", AppSpec),
                              ("clients", ClientSpec),
                              ("timeline", TimelineEventSpec)):
             entries = data.get(key, ())
-            if not isinstance(entries, (list, tuple)):
-                raise _structural(f"{path}.{key}", "expected a list")
             data[key] = tuple(
                 section.from_dict(entry, f"{path}.{key}[{i}]")
                 for i, entry in enumerate(entries)
@@ -378,6 +428,14 @@ class ScenarioSpec:
             if host.profile not in PROFILES:
                 err(f"{path}.profile: unknown profile {host.profile!r} "
                     f"(known: {', '.join(sorted(PROFILES))})")
+            elif (host.battery_powered
+                  and PROFILES[host.profile].battery_capacity_joules <= 0):
+                err(f"{path}.battery_powered: profile {host.profile!r} "
+                    f"has no battery")
+            if host.battery_powered and host.battery_driver not in BATTERY_DRIVERS:
+                err(f"{path}.battery_driver: unknown driver "
+                    f"{host.battery_driver!r} "
+                    f"(known: {', '.join(BATTERY_DRIVERS)})")
             if host.role not in ROLES:
                 err(f"{path}.role: unknown role {host.role!r} "
                     f"(known: {', '.join(ROLES)})")
@@ -435,6 +493,11 @@ class ScenarioSpec:
             if app.kind not in ADAPTERS:
                 err(f"{path}.kind: unknown app {app.kind!r} "
                     f"(known: {', '.join(sorted(ADAPTERS))})")
+            else:
+                try:  # adapters parse their free-form options up front
+                    ADAPTERS[app.kind](app.options)
+                except (TypeError, ValueError) as exc:
+                    err(f"{path}.options: {exc}")
             if app.kind in kinds:
                 err(f"{path}.kind: duplicate app {app.kind!r}")
             kinds.add(app.kind)

@@ -88,6 +88,11 @@ class FairShareJob:
         return resource._job_remaining(self)
 
     @property
+    def in_service(self) -> bool:
+        """True from submission until the job finishes or is aborted."""
+        return self._resource is not None
+
+    @property
     def elapsed(self) -> Optional[float]:
         """Wall-clock (simulated) duration, once finished."""
         if self.started_at is None or self.finished_at is None:

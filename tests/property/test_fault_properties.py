@@ -69,7 +69,7 @@ def run_op(sim, client, indata_bytes=0):
 def assert_clean(sim, client, medium):
     """The recovery invariants: nothing leaked, next op runs clean."""
     assert client._active == []
-    assert medium.active_transfers == 0
+    assert medium._resource.active_jobs == 0
     _handle, report = run_op(sim, client)
     assert not report.concurrent
 

@@ -5,7 +5,6 @@ import pytest
 from repro.energy import (
     AcpiDriver,
     Battery,
-    EnergyInterval,
     PowerMeter,
     SmartBatteryDriver,
 )
@@ -54,21 +53,6 @@ class TestPowerMeter:
         sim.run(until=3.0)
         meter.energy_consumed_joules()
         assert sum(deltas) == pytest.approx(6.0)
-
-
-class TestEnergyInterval:
-    def test_measures_between_start_and_stop(self, sim):
-        meter = PowerMeter(sim)
-        meter.set_component("idle", 1.0)
-        sim.run(until=5.0)
-        interval = EnergyInterval(meter)
-        interval.start()
-        sim.run(until=8.0)
-        assert interval.stop() == pytest.approx(3.0)
-
-    def test_stop_without_start_raises(self, sim):
-        with pytest.raises(RuntimeError):
-            EnergyInterval(PowerMeter(sim)).stop()
 
 
 class TestBattery:

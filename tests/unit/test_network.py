@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults import FaultEvent, FaultInjector
 from repro.network import (
     Link,
     Network,
@@ -91,9 +92,12 @@ class TestSharedMedium:
 
     def test_bandwidth_change_propagates_to_views(self, sim):
         medium = SharedMedium(sim, 1000.0)
-        view = medium.attach()
+        views = [medium.attach() for _ in range(3)]
         medium.set_bandwidth(500.0)
-        assert view.bandwidth_bps == 500.0
+        assert [view.bandwidth_bps for view in views] == [500.0] * 3
+        views[0].set_bandwidth(250.0)  # one link's change is the medium's
+        assert medium.bandwidth_bps == 250.0
+        assert [view.bandwidth_bps for view in views] == [250.0] * 3
 
 
 class TestNetworkTopology:
@@ -156,14 +160,6 @@ class TestNetworkTopology:
         assert outcome == {"aborted": True}
         assert net.transfers == 10
         assert net.bytes_transferred == sum(sizes)
-
-    def test_interface_counters(self, sim, net):
-        def push():
-            yield from net.transfer("a", "b", 500)
-
-        sim.run_process(push())
-        assert net.interface("a").bytes_sent == 500
-        assert net.interface("b").bytes_received == 500
 
     def test_tx_rx_power_callbacks(self, sim, net):
         events = []
@@ -292,7 +288,7 @@ class TestLinkFailures:
         assert view_ab.abort_transfers() == 1
         sim.run()
         assert fates == {"ab": "aborted", "cd": "done"}
-        assert medium.active_transfers == 0
+        assert view_ab.active_transfers == view_cd.active_transfers == 0
 
     def test_disconnect_aborts_in_flight_by_default(self, sim):
         network = Network(sim)
@@ -326,3 +322,125 @@ class TestLinkFailures:
         links = network.links_of("b")
         assert links == {("a", "b"): ab, ("b", "c"): bc}
         assert network.links_of("a") == {("a", "b"): ab}
+
+
+def _point_to_point(sim):
+    return Link(sim, bandwidth_bps=1000.0, latency_s=0.0, name="a-b"), None
+
+
+def _on_medium(sim):
+    medium = SharedMedium(sim, 1000.0, default_latency_s=0.0)
+    return medium.attach(name="a-b"), medium
+
+
+@pytest.fixture(params=[_point_to_point, _on_medium],
+                ids=["point-to-point", "medium"])
+def make_link(request):
+    """Both kinds of link: one that owns its bandwidth, one on a medium."""
+    return request.param
+
+
+class TestOneLinkType:
+    def test_abort_order_and_fresh_exception_per_job(self, sim, make_link):
+        link, _medium = make_link(sim)
+        failures = []
+
+        def push(tag):
+            try:
+                yield from link.transmit(10_000)
+            except TransferAbortedError as exc:
+                failures.append((tag, exc))
+
+        for tag in ("first", "second", "third"):
+            sim.spawn(push(tag))
+        sim.advance(0.5)
+        assert link.abort_transfers("severed") == 3
+        assert [tag for tag, _exc in failures] == ["first", "second", "third"]
+        assert len({id(exc) for _tag, exc in failures}) == 3
+        assert all(str(exc) == "severed" for _tag, exc in failures)
+
+    def test_active_transfers_counts_this_link_only(self, sim, make_link):
+        link, medium = make_link(sim)
+        other = (medium.attach(name="c-d") if medium
+                 else Link(sim, 1000.0, 0.0, name="c-d"))
+        for transport, nbytes in ((link, 1000), (link, 5000), (other, 5000)):
+            sim.spawn(transport.transmit(nbytes))
+        sim.advance(0.5)
+        assert (link.active_transfers, other.active_transfers) == (2, 1)
+        link.abort_transfers()
+        assert (link.active_transfers, other.active_transfers) == (0, 1)
+        sim.run()
+        assert (link.active_transfers, other.active_transfers) == (0, 0)
+
+    def test_completed_job_is_not_in_flight(self, sim, make_link):
+        """A job that finished at this instant is not counted or aborted,
+        even while its waiter has yet to resume (an RPC timeout's
+        interrupt is still queued)."""
+        link, _medium = make_link(sim)
+        sim.call_at(1.0, lambda: waiter.interrupt("rpc timeout"))
+        waiter = sim.spawn(link.transmit(1000))
+        seen = {}
+
+        def probe():
+            seen["active"] = link.active_transfers
+            seen["aborted"] = link.abort_transfers()
+        # At t=1.0, in queue order: the interrupt is issued, the
+        # 1000 B job finishes (1000 B/s), the probe runs, and only then
+        # is the interrupt delivered to the waiter.
+        sim.call_at(0.5, lambda: sim.call_at(1.0, probe))
+        sim.run()
+        assert seen == {"active": 0, "aborted": 0}
+        assert link.active_transfers == 0
+
+    def test_attached_links_keep_default_names(self, sim):
+        medium = SharedMedium(sim, 1000.0, name="wlan")
+        names = [medium.attach().name, medium.attach(name="x-y").name,
+                 medium.attach().name]
+        assert names == ["wlan.view0", "x-y", "wlan.view2"]
+
+    def test_attach_rejects_negative_latency(self, sim):
+        medium = SharedMedium(sim, 1000.0)
+        with pytest.raises(ValueError):
+            medium.attach(latency_s=-0.1)
+
+
+class TestPartitionAtCompletionInstant:
+    """The partition journal records the link's in-flight count; a
+    transfer completing at the partition's instant counts only if the
+    partition lands first."""
+
+    def _world(self, sim, make_link):
+        network = Network(sim)
+        for host in ("a", "b"):
+            network.register_host(host)
+        link, _medium = make_link(sim)
+        network.connect("a", "b", link)
+        return network, FaultInjector(sim, network)
+
+    def _push(self, sim, network, fates):
+        def push():
+            try:
+                yield from network.transfer("a", "b", 1000)
+                fates.append("done")
+            except TransferAbortedError:
+                fates.append("aborted")
+        sim.spawn(push())
+
+    def test_partition_first_aborts_the_transfer(self, sim, make_link):
+        network, injector = self._world(sim, make_link)
+        fates = []
+        injector.schedule(FaultEvent(1.0, "partition", ("a", "b")))
+        self._push(sim, network, fates)  # completion timer queued later
+        sim.run()
+        assert fates == ["aborted"]
+        assert injector.applied[0].aborted_transfers == 1
+
+    def test_completion_first_leaves_nothing_to_abort(self, sim, make_link):
+        network, injector = self._world(sim, make_link)
+        fates = []
+        self._push(sim, network, fates)
+        sim.call_at(0.5, lambda: injector.schedule(
+            FaultEvent(1.0, "partition", ("a", "b"))))
+        sim.run()
+        assert fates == ["done"]
+        assert injector.applied[0].aborted_transfers == 0

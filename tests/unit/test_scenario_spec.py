@@ -137,6 +137,22 @@ class TestValidation:
         spec = small_spec(clients=[dict(host="s", app="null")])
         assert any("role" in p for p in problems_of(spec))
 
+    @pytest.mark.parametrize("overrides, path", [
+        (dict(hosts=[dict(name="c", profile="ibm-560x", role="client",
+                          battery_powered=True, battery_driver="nimh"),
+                     dict(name="s", profile="server-b")]),
+         "hosts[0].battery_driver"),
+        (dict(hosts=[dict(name="c", profile="ibm-560x", role="client"),
+                     dict(name="s", profile="server-b",
+                          battery_powered=True)]),
+         "hosts[1].battery_powered"),
+        (dict(apps=[dict(kind="latex", options={"documents": ["nope"]})],
+              clients=[dict(host="c", app="latex", servers=["s"])]),
+         "apps[0].options"),
+    ], ids=["battery-driver", "no-battery", "app-options"])
+    def test_checks_that_used_to_fail_in_the_compiler(self, overrides, path):
+        assert any(p.startswith(path) for p in problems_of(small_spec(**overrides)))
+
     def test_reversed_pair_target_matches_declared_link(self):
         spec = small_spec(timeline=[
             dict(at_s=1.0, kind="partition", target=["s", "c"],
