@@ -41,7 +41,7 @@ from ..monitors import (
     SmartBatteryMonitor,
 )
 from ..network import NoRouteError, TransferAbortedError
-from ..predictors import OperationDemandPredictor, UsageLog, discrete_key
+from ..predictors import OperationDemandPredictor, UsageLog
 from ..predictors.store import PredictorStore
 from ..rpc import (
     Request,
@@ -595,14 +595,11 @@ class SpectraClient:
         """
         seen: set = set()
         for alternative in space.all_alternatives():
-            discrete, _continuous = registered.spec.decision_context(
-                alternative
-            )
-            key = discrete_key(discrete)
+            key = registered.spec.decision_context(alternative).key
             if key in seen:
                 continue
             seen.add(key)
-            if not registered.predictor.has_bin("cpu:local", discrete):
+            if not registered.predictor.has_bin("cpu:local", key):
                 return alternative
         return None
 
@@ -935,13 +932,11 @@ class SpectraClient:
             # A failed-over recording covers only the surviving attempt
             # (the pre-failure work was aborted and discarded), so it
             # would teach the demand model a fictitious cheap operation.
-            discrete, continuous_fid = handle.spec.decision_context(
-                handle.alternative
-            )
+            context = handle.spec.decision_context(handle.alternative)
             registered.predictor.observe_operation(
                 timestamp=self.sim.now,
-                discrete=discrete,
-                continuous={**handle.params, **continuous_fid},
+                discrete=context.discrete,
+                continuous={**handle.params, **context.continuous},
                 usage=usage,
                 file_accesses=recording.file_accesses,
                 data_object=handle.data_object,

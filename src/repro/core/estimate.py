@@ -22,11 +22,11 @@ binned like every other resource.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..coda import REINTEGRATION_EFFICIENCY, volume_of
 from ..monitors import ResourceSnapshot
-from ..predictors import NoModelError, OperationDemandPredictor
+from ..predictors import DemandQuery, NoModelError, OperationDemandPredictor
 from .operation import OperationSpec
 from .plans import Alternative
 from .utility import AlternativePrediction
@@ -67,9 +67,15 @@ class DemandEstimator:
         explanatory reason rather than raising: the solver must be able
         to search past them.
         """
-        discrete, continuous_fid = self.spec.decision_context(alternative)
+        context = self.spec.decision_context(alternative)
+        # One query per alternative: its bin key, features, memo key and
+        # design row serve every resource prediction below.
+        query = self.predictor.query(
+            context.key, {**self.params, **context.continuous},
+            self.data_object,
+        )
         try:
-            return self._predict_inner(alternative, discrete, continuous_fid)
+            return self._predict_inner(alternative, query)
         except NoModelError as exc:
             return AlternativePrediction(
                 alternative=alternative,
@@ -80,18 +86,13 @@ class DemandEstimator:
             )
 
     def _predict_inner(self, alternative: Alternative,
-                       discrete: Dict[str, Any],
-                       continuous_fid: Optional[Dict[str, float]] = None,
-                       ) -> AlternativePrediction:
+                       query: DemandQuery) -> AlternativePrediction:
         plan = alternative.plan
         components: Dict[str, float] = {}
         demand: Dict[str, float] = {}
-        features = dict(self.params)
-        if continuous_fid:
-            features.update(continuous_fid)
 
         # --- local CPU ---------------------------------------------------------
-        local_cycles = self._demand("cpu:local", discrete, features)
+        local_cycles = self.predictor.predict("cpu:local", query)
         demand["cpu:local"] = local_cycles
         local_rate = max(self.snapshot.local_cpu_rate_cps, 1.0)
         components["local_cpu"] = local_cycles / local_rate
@@ -106,7 +107,7 @@ class DemandEstimator:
                     feasible=False,
                     infeasible_reason=f"server {alternative.server!r} unreachable",
                 )
-            remote_cycles = self._demand("cpu:remote", discrete, features)
+            remote_cycles = self.predictor.predict("cpu:remote", query)
             demand["cpu:remote"] = remote_cycles
             remote_rate = max(server.cpu_rate_cps, 1.0)
             # Parallel plans spread remote cycles over up to `parallelism`
@@ -130,8 +131,8 @@ class DemandEstimator:
                     bottleneck_rate = max(min([remote_rate] + extra), 1.0)
             components["remote_cpu"] = remote_cycles / (bottleneck_rate * degree)
 
-            net_bytes = self._demand("net:bytes", discrete, features)
-            net_rpcs = self._demand("net:rpcs", discrete, features)
+            net_bytes = self.predictor.predict("net:bytes", query)
+            net_rpcs = self.predictor.predict("net:rpcs", query)
             demand["net:bytes"] = net_bytes
             demand["net:rpcs"] = net_rpcs
             if server.network.bandwidth_bps <= 0:
@@ -153,7 +154,7 @@ class DemandEstimator:
         cache = (self.snapshot.local_cache if plan.file_access_role == "local"
                  else self.snapshot.server(alternative.server).cache)
         expected_fetch = self.predictor.files.expected_fetch_bytes(
-            discrete, cache.cached_files, data_object=self.data_object
+            query.key, cache.cached_files, data_object=self.data_object
         )
         demand["fetch:bytes"] = expected_fetch
         miss_time = cache.miss_time(expected_fetch)
@@ -167,7 +168,7 @@ class DemandEstimator:
         components["cache_miss"] = miss_time
 
         # --- consistency -----------------------------------------------------------
-        components["consistency"] = self._consistency_time(alternative, discrete)
+        components["consistency"] = self._consistency_time(alternative)
         if math.isinf(components["consistency"]):
             return AlternativePrediction(
                 alternative=alternative,
@@ -179,7 +180,7 @@ class DemandEstimator:
         total_time = sum(components.values())
 
         # --- energy -----------------------------------------------------------------
-        energy = self._energy(discrete, features)
+        energy = self._energy(query)
         demand["energy:client"] = energy
 
         return AlternativePrediction(
@@ -192,18 +193,9 @@ class DemandEstimator:
 
     # -- pieces ------------------------------------------------------------------------
 
-    def _demand(self, resource: str, discrete: Dict[str, Any],
-                features: Optional[Dict[str, float]] = None) -> float:
-        return self.predictor.predict(
-            resource, discrete,
-            features if features is not None else self.params,
-            data_object=self.data_object,
-        )
-
-    def _energy(self, discrete: Dict[str, Any],
-                features: Optional[Dict[str, float]] = None) -> float:
+    def _energy(self, query: DemandQuery) -> float:
         try:
-            return self._demand("energy:client", discrete, features)
+            return self.predictor.predict("energy:client", query)
         except NoModelError:
             # Energy may be unmeasured on wall-only platforms; treat as
             # "free" — with c == 0 it cannot affect utility anyway.
@@ -222,9 +214,9 @@ class DemandEstimator:
         if self.always_reintegrate:
             # Ablation: volume selection disabled; flush everything.
             return sorted(self.snapshot.dirty_volumes)
-        discrete, _continuous = self.spec.decision_context(alternative)
         likely = self.predictor.files.likely_files(
-            discrete, data_object=self.data_object
+            self.spec.decision_context(alternative).key,
+            data_object=self.data_object,
         )
         needed = set()
         for path in likely:
@@ -233,8 +225,7 @@ class DemandEstimator:
                 needed.add(volume)
         return sorted(needed)
 
-    def _consistency_time(self, alternative: Alternative,
-                          discrete: Dict[str, Any]) -> float:
+    def _consistency_time(self, alternative: Alternative) -> float:
         volumes = self.reintegration_volumes(alternative)
         if not volumes:
             return 0.0

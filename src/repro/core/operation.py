@@ -14,9 +14,10 @@ fidelity point is (both in [0, 1]-ish unitless "goodness").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
 
 from ..odyssey import FidelitySpec
+from ..predictors import DiscreteKey, discrete_key
 from .plans import Alternative, ExecutionPlan
 
 LatencyDesirability = Callable[[float], float]
@@ -50,6 +51,17 @@ def ramp_latency(good_s: float, bad_s: float) -> LatencyDesirability:
     return desirability
 
 
+class DecisionContext(NamedTuple):
+    """An alternative's demand context (see :meth:`OperationSpec.decision_context`)."""
+
+    #: plan name plus categorical fidelity values
+    discrete: Dict[str, Any]
+    #: numeric fidelity values (regression features)
+    continuous: Dict[str, float]
+    #: ``discrete_key(discrete)``, the predictors' canonical bin key
+    key: DiscreteKey
+
+
 @dataclass
 class OperationSpec:
     """Static description of one remotely executable operation."""
@@ -78,13 +90,13 @@ class OperationSpec:
         return tuple(d.name for d in self.fidelity.dimensions
                      if getattr(d, "continuous", False))
 
-    def decision_context(self, alternative: "Alternative"):
-        """Split an alternative into (discrete, continuous) demand context.
+    def decision_context(self, alternative: "Alternative") -> DecisionContext:
+        """Split an alternative into its demand context.
 
         Discrete: the plan name plus categorical fidelity values (the
-        binning key of §3.4).  Continuous: numeric fidelity values,
-        merged with the operation's input parameters as regression
-        features.
+        binning key of §3.4), also kept as the canonical bin key.
+        Continuous: numeric fidelity values, merged with the operation's
+        input parameters as regression features.
 
         The split is memoized on the alternative itself (it is a pure
         function of the alternative for the spec that built it), because
@@ -104,7 +116,7 @@ class OperationSpec:
                 continuous[dim.name] = float(value)
             else:
                 discrete[dim.name] = value
-        context = (discrete, continuous)
+        context = DecisionContext(discrete, continuous, discrete_key(discrete))
         # Frozen dataclass: bypass the immutability guard for the memo
         # slot only; the value-identity fields stay untouched.
         object.__setattr__(alternative, "_context", context)

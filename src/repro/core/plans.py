@@ -22,7 +22,10 @@ plan, a concrete server (when the plan needs one), and a fidelity point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
+
+if TYPE_CHECKING:
+    from .operation import DecisionContext
 
 
 @dataclass(frozen=True)
@@ -86,9 +89,9 @@ class Alternative:
     fidelity: Tuple[Tuple[str, Any], ...]
     #: memo slot for OperationSpec.decision_context — an Alternative is
     #: built from exactly one spec's plans/fidelity enumeration, so its
-    #: (discrete, continuous) split is a constant of the instance.
+    #: demand context is a constant of the instance.
     #: compare=False keeps eq/hash on the (plan, server, fidelity) value.
-    _context: Optional[Tuple[Dict[str, Any], Dict[str, float]]] = field(
+    _context: Optional["DecisionContext"] = field(
         default=None, compare=False, repr=False,
     )
 

@@ -1,10 +1,15 @@
 """Self-tuning demand prediction: logs, models, and the predictor stack."""
 
-from .base import DemandModel, NoModelError, OperationDemandPredictor
-from .binned import BinnedLinearPredictor, discrete_key
+from .base import (
+    DemandModel,
+    DemandQuery,
+    NoModelError,
+    OperationDemandPredictor,
+)
+from .binned import BinnedLinearPredictor, DiscreteKey, discrete_key
 from .datamodel import DataSpecificPredictor
 from .fileaccess import FileAccessPredictor
-from .linear import EWMAModel, RecencyWeightedLinearModel
+from .linear import EWMAModel, RecencyWeightedLinearModel, design_row
 from .logs import UsageLog, UsageSample, canonical_discrete_value
 from .store import (
     STORE_SCHEMA,
@@ -20,6 +25,8 @@ __all__ = [
     "BinnedLinearPredictor",
     "DataSpecificPredictor",
     "DemandModel",
+    "DemandQuery",
+    "DiscreteKey",
     "EWMAModel",
     "FileAccessPredictor",
     "NoModelError",
@@ -32,6 +39,7 @@ __all__ = [
     "UsageLog",
     "UsageSample",
     "canonical_discrete_value",
+    "design_row",
     "discrete_key",
     "document_digest",
     "merge_logs",

@@ -22,22 +22,47 @@ application-specific predictors may be specified."
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Protocol, Sequence
+from typing import (Any, Dict, List, NamedTuple, Optional, Protocol,
+                    Sequence, Tuple)
 
-from .binned import discrete_key
+import numpy as np
+
+from .binned import DiscreteKey, discrete_key
 from .datamodel import DataSpecificPredictor
 from .fileaccess import FileAccessPredictor
+from .linear import design_row
 from .logs import UsageLog, UsageSample
 
 
 class DemandModel(Protocol):
-    """Interface application-specific predictors must satisfy."""
+    """Interface application-specific predictors must satisfy.
+
+    ``discrete`` is a plain dict of the canonical bin values
+    (``dict(discrete_key(...))``), the same form on every call.
+    """
 
     def observe(self, discrete: Dict[str, Any], continuous: Dict[str, float],
                 value: float, data_object: Optional[str] = None) -> None: ...
 
     def predict(self, discrete: Dict[str, Any], continuous: Dict[str, float],
                 data_object: Optional[str] = None) -> float: ...
+
+
+class DemandQuery(NamedTuple):
+    """One alternative's demand context, prepared once for every resource.
+
+    Built by :meth:`OperationDemandPredictor.query`: ``key`` is the
+    canonical bin key, ``features`` the regression inputs by name,
+    ``features_key`` their sorted items (the memo key's continuous part)
+    and ``row`` their :func:`~repro.predictors.linear.design_row` in the
+    operation's feature order.
+    """
+
+    key: DiscreteKey
+    features: Dict[str, float]
+    features_key: Tuple[Tuple[str, float], ...]
+    row: np.ndarray
+    data_object: Optional[str]
 
 
 class NoModelError(LookupError):
@@ -58,7 +83,7 @@ class OperationDemandPredictor:
         self.decay = decay
         self.window = window
         self.log = log if log is not None else UsageLog()
-        self._models: Dict[str, DemandModel] = {}
+        self._models: Dict[str, DataSpecificPredictor] = {}
         self._custom: Dict[str, DemandModel] = {}
         self.files = FileAccessPredictor()
         # Demand is a pure function of (model state, context): models
@@ -96,9 +121,7 @@ class OperationDemandPredictor:
         if self._predict_cache:
             self._predict_cache.clear()
 
-    def _model_for(self, resource: str) -> DemandModel:
-        if resource in self._custom:
-            return self._custom[resource]
+    def _model_for(self, resource: str) -> DataSpecificPredictor:
         model = self._models.get(resource)
         if model is None:
             model = DataSpecificPredictor(
@@ -146,36 +169,56 @@ class OperationDemandPredictor:
     def _absorb(self, sample: UsageSample, record: bool,
                 skip_energy_when_concurrent: bool = True) -> None:
         self._invalidate_predictions()
-        discrete = sample.discrete_dict()
+        # A sample's discrete tuple is already the canonical bin key.
+        key = sample.discrete
         continuous = sample.continuous_dict()
         for resource, value in sample.usage_dict().items():
             if (sample.concurrent and skip_energy_when_concurrent
                     and resource.startswith("energy")):
                 continue
-            self._model_for(resource).observe(
-                discrete, continuous, value, data_object=sample.data_object
-            )
+            custom = self._custom.get(resource)
+            if custom is None:
+                self._model_for(resource).observe(
+                    key, continuous, value, data_object=sample.data_object
+                )
+            else:
+                custom.observe(dict(key), continuous, value,
+                               data_object=sample.data_object)
         if sample.file_accesses:
             self.files.observe(
-                discrete, sample.file_accesses_dict(),
+                key, sample.file_accesses_dict(),
                 data_object=sample.data_object,
             )
 
     # -- predicting ---------------------------------------------------------------
 
-    def predict(self, resource: str, discrete: Dict[str, Any],
-                continuous: Dict[str, float],
-                data_object: Optional[str] = None) -> float:
-        """Predicted demand for *resource* under the given context."""
+    def query(self, key: DiscreteKey, features: Dict[str, float],
+              data_object: Optional[str] = None) -> DemandQuery:
+        """Prepare one context's demand query (see :class:`DemandQuery`)."""
+        return DemandQuery(
+            key, features, tuple(sorted(features.items())),
+            design_row(self.feature_names, features), data_object,
+        )
+
+    def demand(self, resource: str, discrete: Dict[str, Any],
+               continuous: Dict[str, float],
+               data_object: Optional[str] = None) -> float:
+        """:meth:`predict` for a discrete dict and a features dict."""
+        return self.predict(
+            resource, self.query(discrete_key(discrete), continuous,
+                                 data_object))
+
+    def predict(self, resource: str, query: DemandQuery) -> float:
+        """Predicted demand for *resource* under the query's context."""
         if self.memoize:
-            key = (resource, discrete_key(discrete),
-                   tuple(sorted(continuous.items())), data_object)
+            key = (resource, query.key, query.features_key, query.data_object)
             cached = self._predict_cache.get(key)
             if cached is not None:
                 if type(cached) is float:
                     return cached
                 raise NoModelError(cached[0])
-        model = self._custom.get(resource) or self._models.get(resource)
+        custom = self._custom.get(resource)
+        model = self._models.get(resource) if custom is None else custom
         if model is None:
             # A never-observed resource stays model-less until observe()
             # creates its model, which invalidates the memo — cache this
@@ -187,9 +230,13 @@ class OperationDemandPredictor:
                     self._predict_cache.clear()
                 self._predict_cache[key] = (message,)
             raise NoModelError(message)
+        if custom is None:
+            context = (query.key, query.row)
+        else:
+            context = (dict(query.key), query.features)
         try:
             value = float(
-                model.predict(discrete, continuous, data_object=data_object)
+                model.predict(*context, data_object=query.data_object)
             )
         except ValueError as exc:
             if self.memoize:
@@ -205,15 +252,16 @@ class OperationDemandPredictor:
             self._predict_cache[key] = value
         return value
 
-    def has_bin(self, resource: str, discrete: Dict[str, Any]) -> bool:
-        """Has *resource* been observed under this exact discrete context?"""
-        model = self._custom.get(resource) or self._models.get(resource)
-        if model is None:
-            return False
-        has_bin = getattr(model, "has_bin", None)
+    def has_bin(self, resource: str, key: DiscreteKey) -> bool:
+        """Has *resource* been observed under this exact bin key?"""
+        custom = self._custom.get(resource)
+        if custom is None:
+            model = self._models.get(resource)
+            return model is not None and model.has_bin(key)
+        has_bin = getattr(custom, "has_bin", None)
         if has_bin is None:
             return True  # custom models without bin tracking: assume yes
-        return bool(has_bin(discrete))
+        return bool(has_bin(dict(key)))
 
     def resources(self) -> List[str]:
         return sorted(set(self._models) | set(self._custom))

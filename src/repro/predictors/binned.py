@@ -12,11 +12,18 @@ combination of discrete variables has not yet been encountered"
 the tuple of discrete values (fidelity point + execution plan), each
 regressing the resource on the continuous input parameters, plus one
 generic fallback model trained on everything.
+
+Its methods take the bin key already canonicalised by
+:func:`discrete_key` and, for predictions, the alternative's
+:func:`~repro.predictors.linear.design_row`: both are built once per
+alternative (or read from a logged sample), not once per model.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Sequence, Tuple
+
+import numpy as np
 
 from .linear import RecencyWeightedLinearModel
 from .logs import canonical_discrete_value
@@ -56,9 +63,8 @@ class BinnedLinearPredictor:
 
     # -- updating -------------------------------------------------------------------
 
-    def observe(self, discrete: Dict[str, Any],
+    def observe(self, key: DiscreteKey,
                 continuous: Dict[str, float], value: float) -> None:
-        key = discrete_key(discrete)
         model = self._bins.get(key)
         if model is None:
             model = self._new_model()
@@ -68,8 +74,7 @@ class BinnedLinearPredictor:
 
     # -- predicting ------------------------------------------------------------------
 
-    def predict(self, discrete: Dict[str, Any],
-                continuous: Dict[str, float]) -> float:
+    def predict(self, key: DiscreteKey, row: np.ndarray) -> float:
         """Bin-specific prediction, or the generic model for unseen bins.
 
         A bin trained at a single value of some input parameter (a
@@ -88,23 +93,24 @@ class BinnedLinearPredictor:
         caller (the Spectra client) treats that as "no model yet" and
         falls back to exploration.
         """
-        model = self._bins.get(discrete_key(discrete))
+        model = self._bins.get(key)
         if model is None or model.n_samples == 0:
-            return self._generic.predict(continuous)
-        prediction = model.predict(continuous)
+            return self._generic.predict(row)
+        prediction = model.predict(row)
         blind = model.unidentified_features()
         if blind:
-            reference = dict(continuous)
+            reference = row.copy()
             for name in blind:
-                reference[name] = model.feature_value(name)
-            if reference != dict(continuous):
-                shift = (self._generic.predict(continuous)
+                reference[1 + self.feature_names.index(name)] = (
+                    model.feature_value(name))
+            if (reference != row).any():
+                shift = (self._generic.predict(row)
                          - self._generic.predict(reference))
                 prediction = max(prediction + shift, 0.0)
         return prediction
 
-    def has_bin(self, discrete: Dict[str, Any]) -> bool:
-        model = self._bins.get(discrete_key(discrete))
+    def has_bin(self, key: DiscreteKey) -> bool:
+        model = self._bins.get(key)
         return model is not None and model.n_samples > 0
 
     @property

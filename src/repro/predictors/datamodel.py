@@ -16,9 +16,11 @@ falls back to the general model trained on all documents.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from .binned import BinnedLinearPredictor
+import numpy as np
+
+from .binned import BinnedLinearPredictor, DiscreteKey
 
 
 class DataSpecificPredictor:
@@ -38,9 +40,9 @@ class DataSpecificPredictor:
 
     # -- updating -------------------------------------------------------------------
 
-    def observe(self, discrete: Dict[str, Any], continuous: Dict[str, float],
+    def observe(self, key: DiscreteKey, continuous: Dict[str, float],
                 value: float, data_object: Optional[str] = None) -> None:
-        self._general.observe(discrete, continuous, value)
+        self._general.observe(key, continuous, value)
         if data_object is None:
             return
         model = self._per_object.get(data_object)
@@ -53,23 +55,23 @@ class DataSpecificPredictor:
                 self._per_object.popitem(last=False)
         else:
             self._per_object.move_to_end(data_object)
-        model.observe(discrete, continuous, value)
+        model.observe(key, continuous, value)
 
     # -- predicting ------------------------------------------------------------------
 
-    def predict(self, discrete: Dict[str, Any], continuous: Dict[str, float],
+    def predict(self, key: DiscreteKey, row: np.ndarray,
                 data_object: Optional[str] = None) -> float:
         """Data-specific prediction when a cached model exists, else general."""
         if data_object is not None:
             model = self._per_object.get(data_object)
-            if model is not None and model.has_bin(discrete):
+            if model is not None and model.has_bin(key):
                 self._per_object.move_to_end(data_object)
-                return model.predict(discrete, continuous)
-        return self._general.predict(discrete, continuous)
+                return model.predict(key, row)
+        return self._general.predict(key, row)
 
-    def has_bin(self, discrete: Dict[str, Any]) -> bool:
+    def has_bin(self, key: DiscreteKey) -> bool:
         """Has this exact discrete combination been observed?"""
-        return self._general.has_bin(discrete)
+        return self._general.has_bin(key)
 
     def has_data_model(self, data_object: str) -> bool:
         return data_object in self._per_object

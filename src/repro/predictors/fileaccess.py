@@ -17,14 +17,16 @@ Likelihoods are modelled per discrete bin (fidelity/plan can change
 which files an operation touches — e.g. the reduced vocabulary never
 reads the full language model), with a bin-independent fallback, and
 optionally per data object (each Latex document has its own input set).
+Bins are keyed by the canonical :func:`~repro.predictors.binned.discrete_key`
+the caller already holds.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .binned import DiscreteKey, discrete_key
+from .binned import DiscreteKey
 from .linear import EWMAModel
 
 
@@ -78,10 +80,9 @@ class FileAccessPredictor:
 
     # -- updating -------------------------------------------------------------------
 
-    def observe(self, discrete: Dict[str, Any], accessed: Dict[str, int],
+    def observe(self, key: DiscreteKey, accessed: Dict[str, int],
                 data_object: Optional[str] = None) -> None:
         """Record one completed operation's file accesses."""
-        key = discrete_key(discrete)
         model = self._bins.get(key)
         if model is None:
             model = _AccessModel(self.alpha)
@@ -101,7 +102,7 @@ class FileAccessPredictor:
 
     # -- predicting ------------------------------------------------------------------
 
-    def predict(self, discrete: Dict[str, Any],
+    def predict(self, key: DiscreteKey,
                 data_object: Optional[str] = None
                 ) -> List[Tuple[str, int, float]]:
         """Predicted ``(path, size, likelihood)`` list for an operation.
@@ -116,7 +117,7 @@ class FileAccessPredictor:
             if model is not None:
                 self._per_object.move_to_end(data_object)
         if model is None or model.n_operations == 0:
-            model = self._bins.get(discrete_key(discrete))
+            model = self._bins.get(key)
         if model is None or model.n_operations == 0:
             model = self._generic
         return [
@@ -127,7 +128,7 @@ class FileAccessPredictor:
 
     def expected_fetch_bytes(
         self,
-        discrete: Dict[str, Any],
+        key: DiscreteKey,
         cached_paths,
         data_object: Optional[str] = None,
     ) -> float:
@@ -140,14 +141,14 @@ class FileAccessPredictor:
         cached = set(cached_paths)
         return sum(
             size * likelihood
-            for path, size, likelihood in self.predict(discrete, data_object)
+            for path, size, likelihood in self.predict(key, data_object)
             if path not in cached
         )
 
-    def likely_files(self, discrete: Dict[str, Any],
+    def likely_files(self, key: DiscreteKey,
                      data_object: Optional[str] = None) -> List[str]:
         """Paths with non-negligible access likelihood (consistency set)."""
-        return [path for path, _size, _lk in self.predict(discrete, data_object)]
+        return [path for path, _size, _lk in self.predict(key, data_object)]
 
     @property
     def n_operations(self) -> int:

@@ -11,6 +11,10 @@ recency order.  Degenerate designs (no samples with a given feature
 spread, collinear features) fall back gracefully: a constant feature
 contributes through the intercept, and an empty model predicts the
 recency-weighted mean of whatever it has seen.
+
+A prediction takes a :func:`design_row` rather than a features dict:
+the demand estimator builds one row per alternative, and every resource
+model of the operation evaluates that same row.
 """
 
 from __future__ import annotations
@@ -18,6 +22,17 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+
+def design_row(feature_names: Sequence[str],
+               features: Dict[str, float]) -> np.ndarray:
+    """``[1.0, *features in feature_names order]``, the regression input.
+
+    A name missing from *features* reads as 0.0.
+    """
+    return np.array(
+        [1.0] + [float(features.get(name, 0.0)) for name in feature_names]
+    )
 
 
 class RecencyWeightedLinearModel:
@@ -48,7 +63,8 @@ class RecencyWeightedLinearModel:
         self._xs: List[Tuple[float, ...]] = []
         self._ys: List[float] = []
         self._coef: Optional[np.ndarray] = None  # [intercept, b_1..b_k]
-        self._constant: Tuple[bool, ...] = (False,) * len(self.feature_names)
+        #: features observed at a single value, as of the last refit
+        self._blind: Tuple[str, ...] = ()
         self._stale = True
 
     # -- updating -------------------------------------------------------------------
@@ -70,16 +86,14 @@ class RecencyWeightedLinearModel:
 
     # -- predicting ------------------------------------------------------------------
 
-    def predict(self, features: Dict[str, float]) -> float:
-        """Predict the value at *features*; raises if never trained."""
+    def predict(self, row: np.ndarray) -> float:
+        """Predict the value at a :func:`design_row` of this model's
+        features; raises if never trained."""
         if not self._ys:
             raise ValueError("model has no observations")
         self._refit()
         assert self._coef is not None
-        x = np.array(
-            [1.0] + [float(features.get(n, 0.0)) for n in self.feature_names]
-        )
-        prediction = float(x @ self._coef)
+        prediction = float(row @ self._coef)
         # Resource usage is non-negative by construction; a regression
         # extrapolating below zero is lying.
         return max(prediction, 0.0)
@@ -94,11 +108,10 @@ class RecencyWeightedLinearModel:
         better-trained sibling model (the binned predictor's generic
         model) use this to know which directions to borrow.
         """
-        if not self._ys or not self.feature_names:
+        if not self._ys:
             return ()
         self._refit()
-        return tuple(name for name, flat
-                     in zip(self.feature_names, self._constant) if flat)
+        return self._blind
 
     def feature_value(self, name: str) -> float:
         """The most recent observed value of feature *name*."""
@@ -137,7 +150,8 @@ class RecencyWeightedLinearModel:
             # *other* value of that feature would extrapolate along a
             # slope the data never witnessed.
             constant = xs.max(axis=0) == xs.min(axis=0)
-            self._constant = tuple(bool(flag) for flag in constant)
+            self._blind = tuple(name for name, flat
+                                in zip(self.feature_names, constant) if flat)
             if constant.any():
                 xs = np.where(constant[None, :], 0.0, xs)
             design[:, 1:] = xs

@@ -46,7 +46,8 @@ def canonical_discrete_value(value: Any) -> Any:
 class UsageSample:
     """One operation execution's context and measured resource usage.
 
-    ``discrete`` — binning variables (fidelity values, plan name, ...).
+    ``discrete`` — binning variables (fidelity values, plan name, ...),
+    canonical and sorted: the tuple is the predictors' bin key.
     ``continuous`` — regression variables (input parameters).
     ``usage`` — measured resource consumption, e.g. ``{"cpu:local":
     2.1e8, "net:bytes": 14000, "energy:client": 3.4}``.
@@ -164,10 +165,11 @@ def sample_from_payload(raw: Dict[str, Any]) -> UsageSample:
     """One :class:`UsageSample` from its JSON dict form."""
     return UsageSample(
         timestamp=raw["timestamp"],
-        discrete=tuple(
+        # Sorted like UsageSample.build, so the tuple is the bin key.
+        discrete=tuple(sorted(
             (k, canonical_discrete_value(v))
             for k, v in raw["discrete"]
-        ),
+        )),
         continuous=tuple((k, float(v)) for k, v in raw["continuous"]),
         usage=tuple((k, float(v)) for k, v in raw["usage"]),
         data_object=raw.get("data_object"),

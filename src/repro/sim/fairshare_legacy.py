@@ -121,13 +121,6 @@ class LegacyFairShareResource:
         self._notify()
         return True
 
-    def abort_all(self, exc_factory: Callable[[], BaseException]) -> int:
-        count = 0
-        for job in list(self._jobs):
-            if self.abort(job, exc_factory()):
-                count += 1
-        return count
-
     def run(self, amount: float, weight: float = 1.0) -> Generator:
         job = self.submit(amount, weight=weight)
         yield job.done

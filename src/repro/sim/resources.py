@@ -234,19 +234,6 @@ class FairShareResource:
         self._notify()
         return True
 
-    def abort_all(self, exc_factory: Callable[[], BaseException]) -> int:
-        """Abort every active job; returns how many were aborted.
-
-        ``exc_factory`` builds a fresh exception per job — exception
-        instances must not be shared across waiters whose tracebacks
-        will diverge.
-        """
-        count = 0
-        for job in self._live_jobs():
-            if self.abort(job, exc_factory()):
-                count += 1
-        return count
-
     def run(self, amount: float, weight: float = 1.0) -> Generator:
         """Process-style helper: ``yield from resource.run(amount)``."""
         job = self.submit(amount, weight=weight)

@@ -82,6 +82,9 @@ class SearchSpace:
             if any(p.name == a.plan.name for p in self.plans)
         )
         self._sizes: Optional[Tuple[int, ...]] = None
+        #: decode hands out these same objects, so each alternative's
+        #: decision-context memo is built once per space
+        self._by_value = {a: a for a in self._alternatives}
         self._decoded: Dict[Tuple[int, ...], Alternative] = {}
         self._neighbors: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], ...]] = {}
 
@@ -117,7 +120,8 @@ class SearchSpace:
                 dim.name: dim.values[state[2 + i]]
                 for i, dim in enumerate(self.fidelity_dims)
             }
-            alternative = Alternative.build(plan, server, fidelity)
+            alternative = self._by_value[
+                Alternative.build(plan, server, fidelity)]
             self._decoded[state] = alternative
         return alternative
 

@@ -197,14 +197,18 @@ class TestModelPersistence:
     def test_export_roundtrip_preserves_file_knowledge(self):
         bed, app = build_speech("baseline")
         exported = bed.client.export_usage_log(app.spec.name)
-        from repro.predictors import OperationDemandPredictor, UsageLog
+        from repro.predictors import (
+            OperationDemandPredictor,
+            UsageLog,
+            discrete_key,
+        )
 
         rebuilt = OperationDemandPredictor(
             feature_names=app.spec.input_params,
             log=UsageLog.from_json(exported),
         )
         files = rebuilt.files.likely_files(
-            {"plan": "local", "vocab": "full"}
+            discrete_key({"plan": "local", "vocab": "full"})
         )
         assert "/speech/lm.full" in files
 

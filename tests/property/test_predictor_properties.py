@@ -10,6 +10,8 @@ from repro.predictors import (
     EWMAModel,
     FileAccessPredictor,
     RecencyWeightedLinearModel,
+    design_row,
+    discrete_key,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
@@ -40,7 +42,7 @@ def test_linear_model_recovers_noiseless_linear_data(slope, intercept, xs,
     for x in xs:
         model.observe({"x": x}, intercept + slope * x)
     expected = max(intercept + slope * probe, 0.0)
-    assert model.predict({"x": probe}) == pytest.approx(
+    assert model.predict(design_row(["x"], {"x": probe})) == pytest.approx(
         expected, rel=1e-4, abs=1e-3
     )
 
@@ -75,9 +77,10 @@ def test_ewma_stays_within_observed_range(values, alpha):
 def test_binned_predictions_are_nonnegative(observations):
     predictor = BinnedLinearPredictor(["x"])
     for bin_key, x, y in observations:
-        predictor.observe({"bin": bin_key}, {"x": x}, y)
+        predictor.observe(discrete_key({"bin": bin_key}), {"x": x}, y)
     for bin_key in ("a", "b", "c", "unseen"):
-        value = predictor.predict({"bin": bin_key}, {"x": 5.0})
+        value = predictor.predict(discrete_key({"bin": bin_key}),
+                                  design_row(["x"], {"x": 5.0}))
         assert value >= 0.0
         assert math.isfinite(value)
 
@@ -92,8 +95,8 @@ def test_binned_predictions_are_nonnegative(observations):
 def test_file_likelihoods_are_probabilities(rounds):
     predictor = FileAccessPredictor(alpha=0.4)
     for accessed in rounds:
-        predictor.observe({}, {path: 100 for path in accessed})
-    for _path, _size, likelihood in predictor.predict({}):
+        predictor.observe((), {path: 100 for path in accessed})
+    for _path, _size, likelihood in predictor.predict(()):
         assert 0.0 <= likelihood <= 1.0
 
 
@@ -109,8 +112,8 @@ def test_expected_fetch_bounded_by_total_uncached_size(rounds, cached):
     predictor = FileAccessPredictor(alpha=0.4)
     sizes = {"/v/a": 1000, "/v/b": 500}
     for accessed in rounds:
-        predictor.observe({}, {p: sizes[p] for p in accessed})
-    fetch = predictor.expected_fetch_bytes({}, cached_paths=cached)
+        predictor.observe((), {p: sizes[p] for p in accessed})
+    fetch = predictor.expected_fetch_bytes((), cached_paths=cached)
     max_possible = sum(size for path, size in sizes.items()
                        if path not in cached)
     assert 0.0 <= fetch <= max_possible + 1e-9

@@ -90,11 +90,11 @@ def test_rebuilt_predictor_predicts_byte_identically(raw):
     for discrete, continuous, _usage, data_object, _conc in raw:
         for resource in ("cpu:local", "net:bytes"):
             try:
-                expected = live.predict(resource, discrete, continuous,
-                                        data_object=data_object)
+                expected = live.demand(resource, discrete, continuous,
+                                       data_object=data_object)
             except NoModelError:
                 continue
-            assert rebuilt.predict(
+            assert rebuilt.demand(
                 resource, discrete, continuous, data_object=data_object
             ) == expected
 

@@ -57,8 +57,8 @@ class TestRoundTrip:
         rebuilt = rebuild_predictor(store.load("op"))
         context = {"plan": "local", "vocab": ("full", 1)}
         for resource in ("cpu:local", "net:bytes"):
-            assert rebuilt.predict(resource, context, {"x": 3.0}) == \
-                predictor.predict(resource, context, {"x": 3.0})
+            assert rebuilt.demand(resource, context, {"x": 3.0}) == \
+                predictor.demand(resource, context, {"x": 3.0})
 
     def test_missing_document_is_plain_cold_start(self, tmp_path):
         telemetry = Telemetry()

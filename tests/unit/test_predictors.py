@@ -12,7 +12,14 @@ from repro.predictors import (
     RecencyWeightedLinearModel,
     UsageLog,
     UsageSample,
+    design_row,
+    discrete_key,
 )
+
+
+def at(model, features):
+    """*model*'s prediction at a features dict."""
+    return model.predict(design_row(model.feature_names, features))
 
 
 class TestLinearModel:
@@ -20,13 +27,13 @@ class TestLinearModel:
         model = RecencyWeightedLinearModel(["x"])
         for x in (1.0, 2.0, 5.0, 8.0):
             model.observe({"x": x}, 3.0 + 2.0 * x)
-        assert model.predict({"x": 10.0}) == pytest.approx(23.0, rel=1e-6)
+        assert at(model, {"x": 10.0}) == pytest.approx(23.0, rel=1e-6)
 
     def test_constant_data_predicts_constant(self):
         model = RecencyWeightedLinearModel(["x"])
         for _ in range(5):
             model.observe({"x": 4.0}, 7.0)
-        assert model.predict({"x": 4.0}) == pytest.approx(7.0)
+        assert at(model, {"x": 4.0}) == pytest.approx(7.0)
 
     def test_no_features_gives_weighted_mean(self):
         model = RecencyWeightedLinearModel([], decay=0.5)
@@ -43,18 +50,18 @@ class TestLinearModel:
                 model.observe({}, 100.0)
             for _ in range(3):
                 model.observe({}, 200.0)
-        assert fresh.predict({}) > stale.predict({})
+        assert at(fresh, {}) > at(stale, {})
 
     def test_empty_model_raises(self):
         with pytest.raises(ValueError):
-            RecencyWeightedLinearModel(["x"]).predict({"x": 1.0})
+            at(RecencyWeightedLinearModel(["x"]), {"x": 1.0})
 
     def test_predictions_clamped_nonnegative(self):
         model = RecencyWeightedLinearModel(["x"])
         model.observe({"x": 1.0}, 10.0)
         model.observe({"x": 2.0}, 5.0)
         # Extrapolating far right would go negative; clamp to 0.
-        assert model.predict({"x": 100.0}) == 0.0
+        assert at(model, {"x": 100.0}) == 0.0
 
     def test_window_bounds_memory(self):
         model = RecencyWeightedLinearModel(["x"], window=10)
@@ -90,53 +97,57 @@ class TestEWMA:
 class TestBinnedPredictor:
     def test_bins_are_independent(self):
         predictor = BinnedLinearPredictor(["n"])
-        predictor.observe({"plan": "local"}, {"n": 1.0}, 100.0)
-        predictor.observe({"plan": "remote"}, {"n": 1.0}, 5.0)
-        assert predictor.predict({"plan": "local"}, {"n": 1.0}) == (
-            pytest.approx(100.0)
-        )
-        assert predictor.predict({"plan": "remote"}, {"n": 1.0}) == (
-            pytest.approx(5.0)
-        )
+        local = discrete_key({"plan": "local"})
+        remote = discrete_key({"plan": "remote"})
+        predictor.observe(local, {"n": 1.0}, 100.0)
+        predictor.observe(remote, {"n": 1.0}, 5.0)
+        row = design_row(["n"], {"n": 1.0})
+        assert predictor.predict(local, row) == pytest.approx(100.0)
+        assert predictor.predict(remote, row) == pytest.approx(5.0)
 
     def test_unseen_bin_uses_generic(self):
         predictor = BinnedLinearPredictor(["n"])
-        predictor.observe({"plan": "local"}, {"n": 2.0}, 10.0)
+        predictor.observe(discrete_key({"plan": "local"}), {"n": 2.0}, 10.0)
+        hybrid = discrete_key({"plan": "hybrid"})
         # hybrid was never seen: falls back to the generic model.
-        assert predictor.predict({"plan": "hybrid"}, {"n": 2.0}) == (
+        assert predictor.predict(hybrid, design_row(["n"], {"n": 2.0})) == (
             pytest.approx(10.0)
         )
-        assert not predictor.has_bin({"plan": "hybrid"})
-        assert predictor.has_bin({"plan": "local"})
+        assert not predictor.has_bin(hybrid)
+        assert predictor.has_bin(discrete_key({"plan": "local"}))
 
     def test_key_order_insensitive(self):
         predictor = BinnedLinearPredictor([])
-        predictor.observe({"a": 1, "b": 2}, {}, 5.0)
-        assert predictor.predict({"b": 2, "a": 1}, {}) == pytest.approx(5.0)
+        predictor.observe(discrete_key({"a": 1, "b": 2}), {}, 5.0)
+        assert predictor.predict(
+            discrete_key({"b": 2, "a": 1}), design_row([], {})
+        ) == pytest.approx(5.0)
 
 
 class TestDataSpecificPredictor:
     def test_data_model_overrides_general(self):
         predictor = DataSpecificPredictor(["pages"])
         # General trend: 1 cycle per page.  doc-x is special: always 500.
-        predictor.observe({}, {"pages": 10.0}, 10.0, data_object="doc-a")
-        predictor.observe({}, {"pages": 20.0}, 20.0, data_object="doc-b")
+        predictor.observe((), {"pages": 10.0}, 10.0, data_object="doc-a")
+        predictor.observe((), {"pages": 20.0}, 20.0, data_object="doc-b")
         for _ in range(3):
-            predictor.observe({}, {"pages": 10.0}, 500.0, data_object="doc-x")
-        assert predictor.predict({}, {"pages": 10.0},
+            predictor.observe((), {"pages": 10.0}, 500.0, data_object="doc-x")
+        row = design_row(["pages"], {"pages": 10.0})
+        assert predictor.predict((), row,
                                  data_object="doc-x") == pytest.approx(500.0)
 
     def test_unknown_object_falls_back_to_general(self):
         predictor = DataSpecificPredictor(["pages"])
-        predictor.observe({}, {"pages": 10.0}, 10.0, data_object="doc-a")
-        predictor.observe({}, {"pages": 20.0}, 20.0, data_object="doc-a")
-        value = predictor.predict({}, {"pages": 15.0}, data_object="doc-new")
+        predictor.observe((), {"pages": 10.0}, 10.0, data_object="doc-a")
+        predictor.observe((), {"pages": 20.0}, 20.0, data_object="doc-a")
+        value = predictor.predict((), design_row(["pages"], {"pages": 15.0}),
+                                  data_object="doc-new")
         assert value == pytest.approx(15.0, rel=1e-6)
 
     def test_lru_eviction_of_objects(self):
         predictor = DataSpecificPredictor([], max_objects=2)
         for name in ("a", "b", "c"):
-            predictor.observe({}, {}, 1.0, data_object=name)
+            predictor.observe((), {}, 1.0, data_object=name)
         assert predictor.n_objects == 2
         assert not predictor.has_data_model("a")
         assert predictor.has_data_model("c")
@@ -145,39 +156,42 @@ class TestDataSpecificPredictor:
 class TestFileAccessPredictor:
     def test_likelihood_converges_to_one_for_always_accessed(self):
         predictor = FileAccessPredictor(alpha=0.5)
+        key = discrete_key({"plan": "x"})
         for _ in range(5):
-            predictor.observe({"plan": "x"}, {"/v/a": 100})
-        files = predictor.predict({"plan": "x"})
+            predictor.observe(key, {"/v/a": 100})
+        files = predictor.predict(key)
         assert files == [("/v/a", 100, pytest.approx(1.0))]
 
     def test_likelihood_decays_for_abandoned_file(self):
         predictor = FileAccessPredictor(alpha=0.5)
-        predictor.observe({}, {"/v/a": 100})
+        predictor.observe((), {"/v/a": 100})
         for _ in range(10):
-            predictor.observe({}, {"/v/b": 50})
-        files = dict((p, lk) for p, _s, lk in predictor.predict({}))
+            predictor.observe((), {"/v/b": 50})
+        files = dict((p, lk) for p, _s, lk in predictor.predict(()))
         assert files["/v/b"] == pytest.approx(1.0)
         assert "/v/a" not in files  # below the negligible threshold
 
     def test_expected_fetch_bytes_skips_cached(self):
         predictor = FileAccessPredictor()
-        predictor.observe({}, {"/v/a": 1000, "/v/b": 500})
-        fetch = predictor.expected_fetch_bytes({}, cached_paths={"/v/a"})
+        predictor.observe((), {"/v/a": 1000, "/v/b": 500})
+        fetch = predictor.expected_fetch_bytes((), cached_paths={"/v/a"})
         assert fetch == pytest.approx(500.0)
 
     def test_bins_separate_working_sets(self):
         predictor = FileAccessPredictor()
-        predictor.observe({"vocab": "full"}, {"/v/lm.full": 277})
-        predictor.observe({"vocab": "reduced"}, {"/v/lm.reduced": 60})
-        full = predictor.likely_files({"vocab": "full"})
+        full_key = discrete_key({"vocab": "full"})
+        predictor.observe(full_key, {"/v/lm.full": 277})
+        predictor.observe(discrete_key({"vocab": "reduced"}),
+                          {"/v/lm.reduced": 60})
+        full = predictor.likely_files(full_key)
         assert full == ["/v/lm.full"]
 
     def test_data_object_specific_sets(self):
         predictor = FileAccessPredictor()
-        predictor.observe({}, {"/v/a": 10}, data_object="doc-a")
-        predictor.observe({}, {"/v/b": 20}, data_object="doc-b")
-        assert predictor.likely_files({}, data_object="doc-a") == ["/v/a"]
-        assert predictor.likely_files({}, data_object="doc-b") == ["/v/b"]
+        predictor.observe((), {"/v/a": 10}, data_object="doc-a")
+        predictor.observe((), {"/v/b": 20}, data_object="doc-b")
+        assert predictor.likely_files((), data_object="doc-a") == ["/v/a"]
+        assert predictor.likely_files((), data_object="doc-b") == ["/v/b"]
 
 
 class TestOperationDemandPredictor:
@@ -193,13 +207,13 @@ class TestOperationDemandPredictor:
         predictor = OperationDemandPredictor(["n"])
         predictor.observe_operation(**self.make_sample_args(n=1.0, cpu=10.0))
         predictor.observe_operation(**self.make_sample_args(n=2.0, cpu=20.0))
-        assert predictor.predict("cpu:local", {"plan": "local"},
+        assert predictor.demand("cpu:local", {"plan": "local"},
                                  {"n": 3.0}) == pytest.approx(30.0, rel=1e-6)
 
     def test_unknown_resource_raises(self):
         predictor = OperationDemandPredictor()
         with pytest.raises(NoModelError):
-            predictor.predict("cpu:remote", {}, {})
+            predictor.demand("cpu:remote", {}, {})
 
     def test_concurrent_energy_skipped(self):
         predictor = OperationDemandPredictor()
@@ -209,9 +223,9 @@ class TestOperationDemandPredictor:
             concurrent=True,
         )
         # CPU sample kept; energy sample dropped.
-        assert predictor.predict("cpu:local", {}, {}) == pytest.approx(5.0)
+        assert predictor.demand("cpu:local", {}, {}) == pytest.approx(5.0)
         with pytest.raises(NoModelError):
-            predictor.predict("energy:client", {}, {})
+            predictor.demand("energy:client", {}, {})
 
     def test_custom_predictor_override(self):
         class Fixed:
@@ -223,7 +237,7 @@ class TestOperationDemandPredictor:
 
         predictor = OperationDemandPredictor()
         predictor.set_custom_predictor("cpu:local", Fixed())
-        assert predictor.predict("cpu:local", {}, {}) == 42.0
+        assert predictor.demand("cpu:local", {}, {}) == 42.0
 
     def test_rebuild_from_log(self):
         log = UsageLog()
@@ -232,7 +246,7 @@ class TestOperationDemandPredictor:
             continuous={"n": 1.0}, usage={"cpu:local": 50.0},
         ))
         predictor = OperationDemandPredictor(["n"], log=log)
-        assert predictor.predict("cpu:local", {"plan": "local"},
+        assert predictor.demand("cpu:local", {"plan": "local"},
                                  {"n": 1.0}) == pytest.approx(50.0)
 
     def test_file_accesses_feed_file_predictor(self):
@@ -241,7 +255,8 @@ class TestOperationDemandPredictor:
             timestamp=0.0, discrete={"plan": "local"}, continuous={},
             usage={"cpu:local": 1.0}, file_accesses={"/v/a": 100},
         )
-        assert predictor.files.likely_files({"plan": "local"}) == ["/v/a"]
+        assert predictor.files.likely_files(
+            discrete_key({"plan": "local"})) == ["/v/a"]
 
 
 class TestUsageLog:
@@ -299,9 +314,9 @@ class TestRoundTripFidelity:
             log=UsageLog.from_json(live.log.to_json()),
         )
         context = {"point": ("full", 2)}
-        assert rebuilt.has_bin("cpu:local", context)
-        assert rebuilt.predict("cpu:local", context, {}) == \
-            live.predict("cpu:local", context, {})
+        assert rebuilt.has_bin("cpu:local", discrete_key(context))
+        assert rebuilt.demand("cpu:local", context, {}) == \
+            live.demand("cpu:local", context, {})
 
     def test_canonicalization_keeps_primitives_untouched(self):
         sample = UsageSample.build(
@@ -323,15 +338,15 @@ class TestZeroVarianceColumns:
         model.observe({"x": 4.0}, 0.0)
         model.observe({"x": 4.0}, 10.0)
         expected = model.weighted_mean()
-        assert model.predict({"x": 100.0}) == pytest.approx(expected)
-        assert model.predict({"x": -7.0}) == pytest.approx(expected)
+        assert at(model, {"x": 100.0}) == pytest.approx(expected)
+        assert at(model, {"x": -7.0}) == pytest.approx(expected)
 
     def test_varying_feature_still_fits_a_slope(self):
         model = RecencyWeightedLinearModel(["x", "c"])
         for x in (1.0, 2.0, 5.0, 8.0):
             model.observe({"x": x, "c": 9.0}, 3.0 + 2.0 * x)
         # c is constant (dropped), x still drives the fit
-        assert model.predict({"x": 10.0, "c": 9.0}) == pytest.approx(
+        assert at(model, {"x": 10.0, "c": 9.0}) == pytest.approx(
             23.0, rel=1e-6)
 
 
@@ -339,21 +354,21 @@ class TestPredictMemo:
     def test_model_none_miss_is_memoized(self):
         predictor = OperationDemandPredictor(feature_names=[])
         with pytest.raises(NoModelError):
-            predictor.predict("never-seen", {}, {})
+            predictor.demand("never-seen", {}, {})
         key = ("never-seen", (), (), None)
         assert key in predictor._predict_cache
         with pytest.raises(NoModelError):
-            predictor.predict("never-seen", {}, {})
+            predictor.demand("never-seen", {}, {})
 
     def test_observe_invalidates_model_none_miss(self):
         predictor = OperationDemandPredictor(feature_names=[])
         with pytest.raises(NoModelError):
-            predictor.predict("cpu:local", {}, {})
+            predictor.demand("cpu:local", {}, {})
         predictor.observe_operation(
             timestamp=0.0, discrete={}, continuous={},
             usage={"cpu:local": 5.0},
         )
-        assert predictor.predict("cpu:local", {}, {}) == pytest.approx(5.0)
+        assert predictor.demand("cpu:local", {}, {}) == pytest.approx(5.0)
 
 
 class TestEWMACounts:

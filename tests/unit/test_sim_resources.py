@@ -205,14 +205,6 @@ class TestAbortAndZeroCapacity:
         # survivor: 0.1s at 50/s (5 served) + 95 at 100/s.
         assert survivor.finished_at == pytest.approx(0.1 + 0.95)
 
-    def test_abort_all_uses_fresh_exceptions(self, sim):
-        resource = FairShareResource(sim, capacity=100.0)
-        jobs = [resource.submit(1000.0) for _ in range(3)]
-        aborted = resource.abort_all(lambda: RuntimeError("storm"))
-        assert aborted == 3
-        failures = [job.done.value for job in jobs]
-        assert len({id(exc) for exc in failures}) == 3
-
     def test_constructing_with_zero_capacity_rejected(self, sim):
         with pytest.raises(ValueError):
             FairShareResource(sim, capacity=0.0)

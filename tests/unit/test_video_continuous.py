@@ -52,9 +52,10 @@ class TestDecisionContext:
         alternative = Alternative.build(
             spec.plan("local"), None, {"fps": 30.0, "codec": "a"}
         )
-        discrete, continuous = spec.decision_context(alternative)
+        discrete, continuous, key = spec.decision_context(alternative)
         assert discrete == {"plan": "local", "codec": "a"}
         assert continuous == {"fps": 30.0}
+        assert key == (("codec", "a"), ("plan", "local"))
 
     def test_continuous_feature_names(self):
         spec = self.make_spec()
@@ -67,7 +68,7 @@ class TestDecisionContext:
         )
         alternative = Alternative.build(spec.plan("local"), None,
                                         {"vocab": "full"})
-        discrete, continuous = spec.decision_context(alternative)
+        discrete, continuous, _key = spec.decision_context(alternative)
         assert discrete == {"plan": "local", "vocab": "full"}
         assert continuous == {}
 
