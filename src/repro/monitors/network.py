@@ -14,6 +14,15 @@ few as two differently-sized exchanges, and tracks changes (the halved-
 bandwidth scenario) as soon as post-change traffic appears — in practice
 the periodic server-status polls supply that traffic.
 
+The fit (:func:`fit_link`) is the closed form of that 2×2 problem, in
+plain Python: one pass over the log window, newest record first, keeps
+the weighted means of size and elapsed time and the sums
+``Σw·dx²`` and ``Σw·dx·dy`` about them.  Every snapshot runs it once per
+candidate server, over a handful of records, so a numpy solver would
+spend nearly all its time on call overhead.  The sums are centred:
+raw ``Σw·x²`` for multi-megabyte transfers would swamp the spread it is
+meant to measure, and the slope would come from cancellation.
+
 Demand observation is trivial "since all client-server communication
 passes through Spectra": the per-operation
 :class:`~repro.rpc.ExchangeStats` already counts bytes and RPCs.
@@ -21,13 +30,51 @@ passes through Spectra": the per-operation
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
-import numpy as np
-
-from ..network import Network, NoRouteError
+from ..network import Network, NoRouteError, TransferRecord
 from .base import OperationRecording, ResourceMonitor
 from .snapshot import NetworkEstimate, ResourceSnapshot
+
+
+def fit_link(records: Sequence[TransferRecord],
+             decay: float) -> Optional[NetworkEstimate]:
+    """Fit ``elapsed = latency + nbytes / bandwidth`` over *records*.
+
+    *records* are in log order, which is finish order: the newest record
+    weighs 1, the one before it *decay*, and so on.  The weighted means
+    and centred sums are updated one record at a time (West's weighted
+    incremental form), so the window is walked once.  ``None`` when the
+    records cannot separate latency from bandwidth — fewer than two, or
+    no spread in size — or when the slope is not a positive time per
+    byte.  A negative intercept is clamped to zero latency.
+    """
+    if len(records) < 2:
+        return None
+    weight = 1.0
+    total = mean_x = mean_y = sxx = sxy = 0.0
+    for record in reversed(records):
+        x = record.nbytes
+        y = record.elapsed
+        total += weight
+        dx = x - mean_x
+        mean_x += dx * weight / total
+        mean_y += (y - mean_y) * weight / total
+        sxx += weight * dx * (x - mean_x)
+        sxy += weight * dx * (y - mean_y)
+        weight *= decay
+    if sxx <= 0.0:
+        # All the same size: can't separate latency from bandwidth.  (The
+        # first record sets the means exactly, so equal sizes give an
+        # exact 0.0.)
+        return None
+    per_byte = sxy / sxx
+    if per_byte <= 0:
+        return None
+    latency = max(mean_y - per_byte * mean_x, 0.0)
+    return NetworkEstimate(
+        bandwidth_bps=1.0 / per_byte, latency_s=latency, observed=True
+    )
 
 
 class NetworkMonitor(ResourceMonitor):
@@ -59,35 +106,12 @@ class NetworkMonitor(ResourceMonitor):
         """
         since = max(0.0, now - self.window_s)
         log = self._network.interface(self._host_name).log
-        estimate = self._fit(log.recent(since, peer=remote))
+        estimate = fit_link(log.recent(since, peer=remote), self.decay)
         if estimate is None:
-            estimate = self._fit(log.recent(since))
+            estimate = fit_link(log.recent(since), self.decay)
         if estimate is None:
             estimate = self._nominal(remote)
         return estimate
-
-    def _fit(self, records) -> Optional[NetworkEstimate]:
-        """Fit elapsed = L + n/B over recent records, recency weighted."""
-        if len(records) < 2:
-            return None
-        sizes = np.array([float(r.nbytes) for r in records])
-        elapsed = np.array([r.elapsed for r in records])
-        if np.ptp(sizes) <= 0:
-            # All the same size: can't separate latency from bandwidth.
-            return None
-        order = np.argsort([r.finished_at for r in records])
-        weights = np.empty(len(records))
-        weights[order] = self.decay ** np.arange(len(records) - 1, -1, -1)
-        design = np.column_stack([np.ones_like(sizes), sizes])
-        sw = np.sqrt(weights)
-        coef, *_ = np.linalg.lstsq(design * sw[:, None], elapsed * sw, rcond=None)
-        latency, per_byte = float(coef[0]), float(coef[1])
-        if per_byte <= 0:
-            return None
-        latency = max(latency, 0.0)
-        return NetworkEstimate(
-            bandwidth_bps=1.0 / per_byte, latency_s=latency, observed=True
-        )
 
     def _nominal(self, remote: str) -> NetworkEstimate:
         """Fallback before any traffic has been observed.

@@ -6,11 +6,17 @@ from .base import (
     NoModelError,
     OperationDemandPredictor,
 )
-from .binned import BinnedLinearPredictor, DiscreteKey, discrete_key
+from .binned import BinnedLinearPredictor
 from .datamodel import DataSpecificPredictor
 from .fileaccess import FileAccessPredictor
 from .linear import EWMAModel, RecencyWeightedLinearModel, design_row
-from .logs import UsageLog, UsageSample, canonical_discrete_value
+from .logs import (
+    DiscreteKey,
+    UsageLog,
+    UsageSample,
+    canonical_discrete_value,
+    discrete_key,
+)
 from .store import (
     STORE_SCHEMA,
     PredictorStore,

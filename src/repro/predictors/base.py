@@ -27,11 +27,10 @@ from typing import (Any, Dict, List, NamedTuple, Optional, Protocol,
 
 import numpy as np
 
-from .binned import DiscreteKey, discrete_key
 from .datamodel import DataSpecificPredictor
 from .fileaccess import FileAccessPredictor
 from .linear import design_row
-from .logs import UsageLog, UsageSample
+from .logs import DiscreteKey, UsageLog, UsageSample, discrete_key
 
 
 class DemandModel(Protocol):

@@ -14,35 +14,25 @@ regressing the resource on the continuous input parameters, plus one
 generic fallback model trained on everything.
 
 Its methods take the bin key already canonicalised by
-:func:`discrete_key` and, for predictions, the alternative's
-:func:`~repro.predictors.linear.design_row`: both are built once per
-alternative (or read from a logged sample), not once per model.
+:func:`~repro.predictors.logs.discrete_key` and, for predictions, the
+alternative's :func:`~repro.predictors.linear.design_row`: both are
+built once per alternative (or read from a logged sample), not once per
+model.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
 from .linear import RecencyWeightedLinearModel
-from .logs import canonical_discrete_value
+# The bin key is defined in ``logs``, beside the value canonicalisation,
+# so a logged sample and a live alternative build it with one function;
+# it stays part of this module's public API.
+from .logs import DiscreteKey, discrete_key
 
-DiscreteKey = Tuple[Tuple[str, Any], ...]
-
-
-def discrete_key(discrete: Dict[str, Any]) -> DiscreteKey:
-    """Canonical hashable key for a discrete-variable assignment.
-
-    Values are normalized through
-    :func:`~repro.predictors.logs.canonical_discrete_value`, so a key
-    built from live (possibly tuple-valued) fidelity values equals the
-    key rebuilt from the JSON usage log — the bins a predictor relearns
-    from disk are the same bins it trained in memory.
-    """
-    return tuple(sorted(
-        (k, canonical_discrete_value(v)) for k, v in discrete.items()
-    ))
+__all__ = ["BinnedLinearPredictor", "DiscreteKey", "discrete_key"]
 
 
 class BinnedLinearPredictor:

@@ -20,7 +20,8 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .binned import BinnedLinearPredictor, DiscreteKey
+from .binned import BinnedLinearPredictor
+from .logs import DiscreteKey
 
 
 class DataSpecificPredictor:

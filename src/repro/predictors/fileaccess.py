@@ -17,7 +17,7 @@ Likelihoods are modelled per discrete bin (fidelity/plan can change
 which files an operation touches — e.g. the reduced vocabulary never
 reads the full language model), with a bin-independent fallback, and
 optionally per data object (each Latex document has its own input set).
-Bins are keyed by the canonical :func:`~repro.predictors.binned.discrete_key`
+Bins are keyed by the canonical :func:`~repro.predictors.logs.discrete_key`
 the caller already holds.
 """
 
@@ -26,8 +26,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from .binned import DiscreteKey
 from .linear import EWMAModel
+from .logs import DiscreteKey
 
 
 class _AccessModel:

@@ -42,6 +42,22 @@ def canonical_discrete_value(value: Any) -> Any:
     return str(value)
 
 
+DiscreteKey = Tuple[Tuple[str, Any], ...]
+
+
+def discrete_key(discrete: Dict[str, Any]) -> DiscreteKey:
+    """Canonical hashable key for a discrete-variable assignment.
+
+    Values are normalized through :func:`canonical_discrete_value`, so a
+    key built from live (possibly tuple-valued) fidelity values equals
+    the key rebuilt from the JSON usage log — the bins a predictor
+    relearns from disk are the same bins it trained in memory.
+    """
+    return tuple(sorted(
+        (k, canonical_discrete_value(v)) for k, v in discrete.items()
+    ))
+
+
 @dataclass(frozen=True)
 class UsageSample:
     """One operation execution's context and measured resource usage.
@@ -58,7 +74,7 @@ class UsageSample:
     """
 
     timestamp: float
-    discrete: Tuple[Tuple[str, Any], ...]
+    discrete: DiscreteKey
     continuous: Tuple[Tuple[str, float], ...]
     usage: Tuple[Tuple[str, float], ...]
     data_object: Optional[str] = None
@@ -80,9 +96,7 @@ class UsageSample:
     ) -> "UsageSample":
         return cls(
             timestamp=timestamp,
-            discrete=tuple(sorted(
-                (k, canonical_discrete_value(v)) for k, v in discrete.items()
-            )),
+            discrete=discrete_key(discrete),
             continuous=tuple(sorted((k, float(v)) for k, v in continuous.items())),
             usage=tuple(sorted((k, float(v)) for k, v in usage.items())),
             data_object=data_object,
@@ -165,11 +179,7 @@ def sample_from_payload(raw: Dict[str, Any]) -> UsageSample:
     """One :class:`UsageSample` from its JSON dict form."""
     return UsageSample(
         timestamp=raw["timestamp"],
-        # Sorted like UsageSample.build, so the tuple is the bin key.
-        discrete=tuple(sorted(
-            (k, canonical_discrete_value(v))
-            for k, v in raw["discrete"]
-        )),
+        discrete=discrete_key(dict(raw["discrete"])),
         continuous=tuple((k, float(v)) for k, v in raw["continuous"]),
         usage=tuple((k, float(v)) for k, v in raw["usage"]),
         data_object=raw.get("data_object"),

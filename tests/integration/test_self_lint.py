@@ -18,6 +18,8 @@ call-graph determinism leak, telemetry-name typo, or stale suppression
 fails this test before it reaches CI.
 """
 
+import ast
+import collections
 import json
 import os
 import pathlib
@@ -28,6 +30,7 @@ import pytest
 
 from repro.analysis import LintConfig, analyze_paths
 from repro.analysis.baseline import DEFAULT_BASELINE_FILE, load_baseline
+from repro.analysis.flow.project import module_name_for
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 LINT_TARGETS = ["src/repro", "tests"]
@@ -117,3 +120,47 @@ def test_benchmarks_are_clean_too(monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
     violations = analyze_paths(["benchmarks"], LintConfig(), deep=True)
     assert violations == [], "\n".join(v.render() for v in violations)
+
+
+def unindexed_defs(body, where):
+    """Defs in a module or class *body* that ``ProjectIndex`` skips.
+
+    The index walks only the defs written directly in a module's or a
+    class's body, and keeps the first of two defs with one name.
+    """
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    seen = set()
+    for node in body:
+        if not isinstance(node, defs):
+            # A def under a module- or class-level if/try/with/for.
+            yield from (f"{where}:{sub.lineno} {sub.name} is nested under "
+                        f"a {type(node).__name__.lower()}"
+                        for sub in ast.walk(node) if isinstance(sub, defs))
+            continue
+        if node.name in seen:
+            yield f"{where}:{node.lineno} {node.name} is defined again"
+        seen.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            yield from unindexed_defs(node.body, f"{where}.{node.name}")
+
+
+def test_deep_index_sees_every_def(monkeypatch):
+    """The deep pass checks only the defs ``ProjectIndex`` indexes.
+
+    Three kinds of def would escape every SPC1xx rule, so ``src/repro``
+    must have none: one nested under a module- or class-level compound
+    statement, a second def of an already-defined name, and any def in
+    a file whose module name another file also maps to.
+    """
+    monkeypatch.chdir(REPO_ROOT)
+    files = sorted(pathlib.Path("src/repro").rglob("*.py"))
+    found = [problem for path in files
+             for problem in unindexed_defs(
+                 ast.parse(path.read_text(encoding="utf-8")).body,
+                 path.as_posix())]
+    known = {path.as_posix() for path in files}
+    modules = collections.Counter(module_name_for(path.as_posix(), known)
+                                  for path in files)
+    found += [f"{name} is the module name of {count} files"
+              for name, count in modules.items() if count > 1]
+    assert found == [], "\n".join(found)

@@ -18,7 +18,8 @@ from repro.monitors import (
     ServerStatus,
     SmartBatteryMonitor,
 )
-from repro.network import Link, Network
+from repro.monitors.network import fit_link
+from repro.network import Link, Network, TransferRecord
 
 
 def blank_snapshot(now=0.0, host="client"):
@@ -117,6 +118,71 @@ class TestNetworkMonitor:
         assert estimate.observed
         assert estimate.bandwidth_bps == pytest.approx(10_000.0, rel=0.05)
         assert estimate.latency_s == pytest.approx(0.05, rel=0.1)
+
+    def test_two_records_recover_the_link_exactly(self, sim, wired):
+        monitor = NetworkMonitor("client", wired)
+
+        def traffic():
+            yield from wired.transfer("client", "server", 200)
+            yield from wired.transfer("server", "client", 5_000)
+
+        sim.run_process(traffic())
+        estimate = monitor.estimate_to("server", now=sim.now)
+        assert estimate.observed
+        assert estimate.bandwidth_bps == pytest.approx(10_000.0, rel=1e-12)
+        assert estimate.latency_s == pytest.approx(0.05, rel=1e-12)
+
+    def test_equal_sizes_fall_back_machine_wide_then_nominal(self, sim,
+                                                             wired):
+        wired.register_host("other")
+        wired.connect("client", "other", Link(sim, 40_000.0, 0.01))
+        monitor = NetworkMonitor("client", wired)
+
+        def traffic(peer, sizes):
+            for size in sizes:
+                yield from wired.transfer("client", peer, size)
+
+        # Every transfer is the same size: nothing to fit at all.
+        sim.run_process(traffic("server", [1_000, 1_000, 1_000]))
+        estimate = monitor.estimate_to("server", now=sim.now)
+        assert not estimate.observed
+        assert estimate.bandwidth_bps == pytest.approx(10_000.0, rel=0.01)
+
+        # The pair's window still can't separate latency from bandwidth,
+        # but the host's whole log (the first hop) can.
+        sim.run_process(traffic("other", [500, 8_000]))
+        estimate = monitor.estimate_to("server", now=sim.now)
+        assert estimate.observed
+        assert estimate == fit_link(wired.interface("client").log.recent(0.0),
+                                    monitor.decay)
+        assert estimate != fit_link(
+            wired.interface("client").log.recent(0.0, peer="other"),
+            monitor.decay)
+
+    def test_elapsed_falling_with_size_is_rejected(self):
+        records = [
+            TransferRecord("client", "server", 1_000, 0.0, 2.0),
+            TransferRecord("client", "server", 9_000, 2.0, 3.0),
+        ]
+        assert fit_link(records, 0.9) is None
+
+    def test_tied_finish_times_weigh_by_log_order(self):
+        # Two sizes only, so the weighted fit runs through the 1 kB point
+        # and the weighted mean elapsed at 3 kB: the later-logged record
+        # of the tied pair weighs 1, the earlier one 0.9.
+        first = TransferRecord("client", "server", 1_000, 0.0, 1.5)
+        slow = TransferRecord("client", "server", 3_000, 1.5, 5.5)
+        fast = TransferRecord("client", "server", 3_000, 2.0, 5.5)
+        for tied, expected_at_3k in (
+            ((slow, fast), (0.9 * 4.0 + 1.0 * 3.5) / 1.9),
+            ((fast, slow), (0.9 * 3.5 + 1.0 * 4.0) / 1.9),
+        ):
+            estimate = fit_link([first, *tied], 0.9)
+            per_byte = (expected_at_3k - 1.5) / 2_000
+            assert estimate.bandwidth_bps == pytest.approx(1 / per_byte,
+                                                           rel=1e-12)
+            assert estimate.latency_s == pytest.approx(
+                1.5 - 1_000 * per_byte, rel=1e-12)
 
     def test_fit_tracks_bandwidth_change(self, sim, wired):
         monitor = NetworkMonitor("client", wired)
